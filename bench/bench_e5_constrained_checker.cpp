@@ -19,7 +19,7 @@ namespace {
 /// Protocol-generated history + its recorded ~ww order.
 struct Recorded {
   core::History history;
-  util::BitRelation ww;
+  core::WwRanks ww_ranks;
 };
 
 Recorded record_history(std::size_t total_ops) {
@@ -35,7 +35,7 @@ Recorded record_history(std::size_t total_ops) {
   params.update_ratio = 0.5;
   params.footprint = 2;
   system.run_workload(params);
-  return Recorded{system.history(), system.recorder().build_ww_order()};
+  return Recorded{system.history(), system.recorder().ww_ranks()};
 }
 
 void FastChecker(::benchmark::State& state) {
@@ -43,7 +43,7 @@ void FastChecker(::benchmark::State& state) {
   const Recorded recorded = record_history(total);
   for (auto _ : state) {
     const auto result = core::fast_check_condition(
-        recorded.history, core::Condition::kMLinearizability, recorded.ww,
+        recorded.history, core::Condition::kMLinearizability, recorded.ww_ranks,
         core::Constraint::kWW);
     ::benchmark::DoNotOptimize(result.admissible);
   }
@@ -63,7 +63,7 @@ void ExactChecker(::benchmark::State& state, bool prune) {
   for (auto _ : state) {
     // The exact checker gets the same information (base order + ~ww).
     auto base = core::base_order(recorded.history, core::Condition::kMLinearizability);
-    base.merge(recorded.ww);
+    base.merge(core::ww_order(recorded.ww_ranks));
     const auto result = core::check_admissible(recorded.history, base, options);
     ::benchmark::DoNotOptimize(result.admissible);
     states = static_cast<double>(result.states_visited);

@@ -469,7 +469,7 @@ namespace {
 /// Protocol-generated history + its recorded ~ww order (E5 input).
 struct Recorded {
   core::History history;
-  util::BitRelation ww;
+  core::WwRanks ww_ranks;
 };
 
 Recorded record_history(std::size_t total_ops) {
@@ -485,7 +485,7 @@ Recorded record_history(std::size_t total_ops) {
   params.update_ratio = 0.5;
   params.footprint = 2;
   system.run_workload(params);
-  return Recorded{system.history(), system.recorder().build_ww_order()};
+  return Recorded{system.history(), system.recorder().ww_ranks()};
 }
 
 std::map<std::string, std::string> e5_config_map(std::size_t target) {
@@ -512,7 +512,7 @@ std::vector<ExperimentRecord> run_e5(const SuiteOptions& options) {
     record.name = "E5/theorem7_poly/m" + std::to_string(target);
     record.config = e5_config_map(target);
     const auto result = core::fast_check_condition(
-        recorded.history, core::Condition::kMLinearizability, recorded.ww,
+        recorded.history, core::Condition::kMLinearizability, recorded.ww_ranks,
         core::Constraint::kWW);
     record.metrics.counter("mops").set(recorded.history.size());
     record.metrics.gauge("constraint_holds").set(result.constraint_holds ? 1.0 : 0.0);
@@ -542,7 +542,7 @@ std::vector<ExperimentRecord> run_e5(const SuiteOptions& options) {
       // The exact checker gets the same information (base order + ~ww).
       auto base =
           core::base_order(recorded.history, core::Condition::kMLinearizability);
-      base.merge(recorded.ww);
+      base.merge(core::ww_order(recorded.ww_ranks));
       const auto result = core::check_admissible(recorded.history, base, checker);
       record.metrics.counter("mops").set(recorded.history.size());
       record.metrics.counter("states").set(result.states_visited);

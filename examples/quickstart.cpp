@@ -78,9 +78,7 @@ int main(int argc, char** argv) {
   // Check the condition this protocol actually claims: Figure 4 (mseq)
   // guarantees m-sequential consistency; everything else here is
   // m-linearizable.
-  const core::Condition claimed = config.protocol == "mseq"
-                                      ? core::Condition::kMSequentialConsistency
-                                      : core::Condition::kMLinearizability;
+  const core::Condition claimed = api::claimed_condition(config.protocol);
   if (system.supports_audit()) {
     const auto audit = system.audit();
     std::printf("P5.x audit: %s\n", audit.ok ? "ok" : audit.to_string().c_str());

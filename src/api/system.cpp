@@ -13,6 +13,11 @@
 
 namespace mocc::api {
 
+core::Condition claimed_condition(const std::string& protocol) {
+  return protocol == "mseq" ? core::Condition::kMSequentialConsistency
+                            : core::Condition::kMLinearizability;
+}
+
 struct System::SubmitQueue {
   struct Item {
     sim::SimTime at = 0;
@@ -95,7 +100,7 @@ System::System(const SystemConfig& config) : config_(config) {
           config.num_objects, make_abcast(), *recorder_, options);
     } else if (is_mlin || is_mlin_narrow) {
       protocols::MLinReplica::Options options;
-      options.narrow_replies = is_mlin_narrow || config.narrow_replies;
+      options.narrow_replies = is_mlin_narrow;
       options.batch_queries = config.batching.batch_queries;
       options.mutate_skip_first_foreign = mutate_skip_delivery && p == 1;
       replica = std::make_unique<protocols::MLinReplica>(
@@ -231,7 +236,7 @@ core::FastCheckResult System::check_fast(core::Condition condition) const {
   MOCC_ASSERT_MSG(supports_audit(),
                   "fast check needs the recorded ~ww of a §5 protocol");
   const core::History h = history();
-  return core::fast_check_condition(h, condition, recorder_->build_ww_order(),
+  return core::fast_check_condition(h, condition, recorder_->ww_ranks(),
                                     core::Constraint::kWW);
 }
 

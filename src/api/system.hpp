@@ -19,8 +19,9 @@
 //       mocc::core::Condition::kMLinearizability);  // Theorem 7
 //
 // Protocols: "mseq" (Figure 4), "mlin" (Figure 6), "mlin-narrow"
-// (Figure 6 + §5.2's narrow query replies), "locking" (conservative 2PL
-// baseline), "aggregate" (single-lock strawman from §1).
+// (Figure 6 + §5.2's narrow query replies), "mlin-bcastq" (Figure 4 with
+// queries broadcast too), "locking" (conservative 2PL baseline),
+// "aggregate" (single-lock strawman from §1).
 #pragma once
 
 #include <memory>
@@ -45,15 +46,14 @@ namespace mocc::api {
 struct SystemConfig {
   std::size_t num_processes = 3;
   std::size_t num_objects = 8;
-  /// "mseq" | "mlin" | "mlin-narrow" | "locking" | "aggregate"
+  /// "mseq" | "mlin" | "mlin-narrow" | "mlin-bcastq" | "locking" |
+  /// "aggregate"
   std::string protocol = "mlin";
   /// "sequencer" | "isis" (ignored by locking/aggregate)
   std::string broadcast = "sequencer";
   /// "constant" | "lan" | "wan" | "uniform" | "reorder" | "exponential"
   std::string delay = "lan";
   std::uint64_t seed = 42;
-  /// §5.2 remark: narrow query replies (applies to "mlin-narrow").
-  bool narrow_replies = false;
   /// Fault injection (src/fault): attached to the simulator only when
   /// faults.enabled() — a default plan costs nothing and leaves the
   /// execution byte-identical to a fault-free build.
@@ -109,6 +109,10 @@ struct SystemConfig {
   /// 0 (the default) disables sampling.
   sim::SimTime backlog_sample_interval = 0;
 };
+
+/// The consistency condition `protocol` guarantees: m-sequential
+/// consistency for "mseq", m-linearizability for every other protocol.
+core::Condition claimed_condition(const std::string& protocol);
 
 class System {
  public:

@@ -6,8 +6,7 @@
 #include <utility>
 
 #include "api/system.hpp"
-#include "core/history.hpp"
-#include "core/relations.hpp"
+#include "core/verdict.hpp"
 #include "mscript/library.hpp"
 #include "util/assert.hpp"
 
@@ -417,48 +416,28 @@ ScheduleVerdict check_terminal_schedule(const api::System& system,
     verdict.history_level = true;
     return verdict;
   }
-  // Value coherence catches lost deliveries whose residue is a read whose
-  // VALUE diverges from its writer's record while the reads-from edges
-  // stay legal (e.g. the skip-delivery mutation). trace_query --audit
-  // runs the same check on the rebuilt history, so these replay.
-  std::string incoherent;
-  if (!system.history().value_coherent(&incoherent)) {
-    verdict.violation = "history is not value-coherent: " + incoherent;
+  // History level first: its violations replay into a failing
+  // trace_query audit, so they make the better counterexamples. Value
+  // coherence inside it catches lost deliveries whose residue is a read
+  // whose VALUE diverges from its writer's record while the reads-from
+  // edges stay legal (e.g. the skip-delivery mutation).
+  const core::Verdict history_verdict = core::check_history(
+      system.history(), api::claimed_condition(config.protocol),
+      system.recorder().ww_ranks(), config.exact_states_budget);
+  if (history_verdict.outcome == core::Outcome::kUndecided) {
+    verdict.decided = false;
+    return verdict;
+  }
+  if (history_verdict.violation()) {
+    verdict.violation = history_verdict.detail;
     verdict.history_level = true;
     return verdict;
   }
   if (system.supports_audit()) {
-    // History-level check first: its violations replay into a failing
-    // trace_query audit, so they make the better counterexamples.
-    const core::Condition condition =
-        config.protocol == "mseq" ? core::Condition::kMSequentialConsistency
-                                  : core::Condition::kMLinearizability;
-    const core::FastCheckResult fast = system.check_fast(condition);
-    if (!fast.admissible) {
-      verdict.violation = std::string("fast check (Theorem 7) rejected ") +
-                          core::condition_name(condition) + ": " + fast.detail;
-      verdict.history_level = true;
-      return verdict;
-    }
     const core::AuditReport audit = system.audit();
     if (!audit.ok) {
       verdict.violation = "P5.x audit failed: " + audit.to_string();
     }
-    return verdict;
-  }
-  core::AdmissibilityOptions options;
-  options.max_states = config.exact_states_budget;
-  const core::AdmissibilityResult exact =
-      system.check_exact(core::Condition::kMLinearizability, options);
-  if (!exact.completed) {
-    verdict.decided = false;
-    return verdict;
-  }
-  if (!exact.admissible) {
-    verdict.violation = "exact check rejected m-linearizability (" +
-                        std::to_string(exact.states_visited) +
-                        " states searched)";
-    verdict.history_level = true;
   }
   return verdict;
 }

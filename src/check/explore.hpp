@@ -191,9 +191,11 @@ struct ScheduleVerdict {
 };
 
 /// Judges a quiescent system driven with fixed_workload(config):
-/// completion (stuck schedules are violations), then the P5.x audit plus
-/// the Theorem-7 fast check for auditable protocols, or the exact
-/// admissibility search (m-linearizability) for the locking baselines.
+/// completion (stuck schedules are violations), then core::check_history
+/// of the protocol's claimed condition (the Theorem-7 fast check over
+/// the abcast ranks, or for the locking baselines the exact search
+/// bounded by exact_states_budget), then the P5.x audit for auditable
+/// protocols.
 ScheduleVerdict check_terminal_schedule(const api::System& system,
                                         const ExploreConfig& config,
                                         std::uint64_t completed_ops);

@@ -52,10 +52,10 @@ FastCheckResult fast_check(const History& h, const util::BitRelation& base,
 }
 
 FastCheckResult fast_check_condition(const History& h, Condition condition,
-                                     const util::BitRelation& sync,
-                                     Constraint constraint) {
+                                     const WwRanks& ww_ranks, Constraint constraint) {
+  MOCC_ASSERT_MSG(ww_ranks.size() == h.size(), "one ww rank slot per m-operation");
   util::BitRelation base = base_order(h, condition);
-  base.merge(sync);
+  base.merge(ww_order(ww_ranks));
   return fast_check(h, base, constraint);
 }
 

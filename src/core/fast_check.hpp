@@ -39,11 +39,10 @@ FastCheckResult fast_check(const History& h, const util::BitRelation& base,
                            Constraint constraint);
 
 /// Convenience: base order for the given consistency condition augmented
-/// with an explicit synchronization order `sync` (e.g. the atomic
-/// broadcast delivery order, which is what makes protocol histories
-/// WW-constrained).
+/// with the ~ww order of `ww_ranks` (the atomic broadcast delivery order
+/// or the commit-tid order, which is what makes protocol histories
+/// WW-constrained). `ww_ranks` has one entry per m-operation of `h`.
 FastCheckResult fast_check_condition(const History& h, Condition condition,
-                                     const util::BitRelation& sync,
-                                     Constraint constraint);
+                                     const WwRanks& ww_ranks, Constraint constraint);
 
 }  // namespace mocc::core

@@ -1,5 +1,8 @@
 #include "core/relations.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace mocc::core {
 
 const char* condition_name(Condition c) {
@@ -61,6 +64,21 @@ util::BitRelation object_order(const History& h) {
         }
       }
       if (share) rel.add(a, b);
+    }
+  }
+  return rel;
+}
+
+util::BitRelation ww_order(const WwRanks& ranks) {
+  std::vector<std::pair<std::uint64_t, MOpId>> ranked;
+  for (MOpId id = 0; id < ranks.size(); ++id) {
+    if (ranks[id].has_value()) ranked.emplace_back(*ranks[id], id);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  util::BitRelation rel(ranks.size());
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    for (std::size_t j = i + 1; j < ranked.size(); ++j) {
+      rel.add(ranked[i].second, ranked[j].second);
     }
   }
   return rel;

@@ -9,6 +9,10 @@
 //   m-normality              : process order ∪ reads-from ∪ object order
 #pragma once
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "core/history.hpp"
 #include "util/relation.hpp"
 
@@ -34,6 +38,15 @@ util::BitRelation real_time_order(const History& h);
 
 /// α ~xo~> β : objects(α) ∩ objects(β) ≠ ∅ and resp(α) < inv(β).
 util::BitRelation object_order(const History& h);
+
+/// Per m-operation, its position in the ~ww total order — the atomic
+/// broadcast delivery position or the commit tid — or nullopt for
+/// m-operations outside that order (queries, protocols without one).
+using WwRanks = std::vector<std::optional<std::uint64_t>>;
+
+/// α ~ww~> β : both ranked and rank(α) < rank(β). The one place ~ww is
+/// constructed: every ranked pair, over ranks.size() m-operations.
+util::BitRelation ww_order(const WwRanks& ranks);
 
 /// The base relation ~>H for the given condition (NOT transitively
 /// closed; callers close it once).

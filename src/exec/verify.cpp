@@ -5,9 +5,8 @@
 #include <sstream>
 
 #include "core/audit.hpp"
-#include "core/constraints.hpp"
-#include "core/fast_check.hpp"
 #include "core/history.hpp"
+#include "core/verdict.hpp"
 #include "protocols/recorder.hpp"
 #include "util/assert.hpp"
 #include "util/timestamp.hpp"
@@ -183,23 +182,17 @@ VerifyReport verify_execution(const ExecResult& result,
       if (mop.is_update) index.add(mop.tid, id);
     }
 
+    // Every update carries its tid as its ww rank, so the fast check
+    // decides every window holding an update. A window without one only
+    // reads initial values, which value coherence already checked, so no
+    // exact search is needed (budget 0).
     const core::History h = recorder.build_history();
-    std::string why;
-    if (!h.well_formed(&why)) {
-      report.fail("window " + std::to_string(window_number) +
-                  ": not well-formed: " + why);
+    const core::Verdict verdict =
+        core::check_history(h, core::Condition::kMLinearizability, recorder.ww_ranks(),
+                            /*exact_budget=*/0, result.config.initial_value);
+    if (!verdict.ok()) {
+      report.fail("window " + std::to_string(window_number) + ": " + verdict.detail);
       continue;
-    }
-    if (!h.value_coherent(&why, result.config.initial_value)) {
-      report.fail("window " + std::to_string(window_number) +
-                  ": not value-coherent: " + why);
-    }
-    const core::FastCheckResult fast = core::fast_check_condition(
-        h, core::Condition::kMLinearizability, recorder.build_ww_order(),
-        core::Constraint::kWW);
-    if (!fast.constraint_holds || !fast.admissible) {
-      report.fail("window " + std::to_string(window_number) +
-                  ": fast check failed: " + fast.detail);
     }
     if (options.run_audit) {
       const core::AuditReport audit = core::audit_protocol_execution(
@@ -226,8 +219,6 @@ obs::StreamingAuditorOptions stream_options(const ExecConfig& config) {
   obs::StreamingAuditorOptions options;
   options.condition = core::Condition::kMLinearizability;
   options.initial_value = config.initial_value;
-  // OCC reads always name the latest committed writer, so a shallow
-  // retention horizon suffices; keep the default for safety margin.
   return options;
 }
 

@@ -3,10 +3,9 @@
 // The committed logs merge deterministically by (epoch, tid) and replay
 // into protocols::ExecutionRecorder histories, so the SAME machinery
 // that audits the simulated protocols judges the real-thread engine:
-// History::well_formed, the value-coherence residue check, the Theorem-7
-// fast check (m-linearizability base order + the commit-tid order as the
-// explicit ~ww synchronization, WW constraint), and the P5.x audit over
-// the Figure-6 trace (~rf ∪ ~t ∪ ~ww).
+// core::check_history (well-formedness, value coherence, and the
+// Theorem-7 fast check of m-linearizability with the commit tids as ~ww
+// ranks), then the P5.x audit over the Figure-6 trace (~rf ∪ ~t ∪ ~ww).
 //
 // Scaling: the checkers' dense relations are quadratic in history size
 // (the P5.x audit worse), so a 100k-op run is replayed in WINDOWS of

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "api/system.hpp"
+#include "core/verdict.hpp"
 #include "obs/live.hpp"
 
 namespace mocc::chaos {
@@ -99,9 +100,7 @@ std::string run_one(const ChaosParams& params, const std::string& protocol,
   std::optional<obs::StreamingAuditor> auditor;
   if (params.stream) {
     obs::StreamingAuditorOptions live_options;
-    live_options.condition = protocol == "mseq"
-                                 ? core::Condition::kMSequentialConsistency
-                                 : core::Condition::kMLinearizability;
+    live_options.condition = api::claimed_condition(protocol);
     if (params.stream_window != 0) live_options.window = params.stream_window;
     auditor.emplace(live_options);
     auditor->set_violation_callback(
@@ -147,6 +146,10 @@ std::string run_one(const ChaosParams& params, const std::string& protocol,
     return reason.str();
   }
 
+  // Post-hoc: the P5.x audit for the §5 protocols (by Theorem 10 it
+  // implies admissibility). The locking baselines record neither
+  // timestamps nor an abcast order, so check_history runs its exact
+  // search there; an exhausted budget fails the run like a violation.
   std::string posthoc;
   if (system.supports_audit()) {
     const core::AuditReport audit = system.audit();
@@ -155,15 +158,10 @@ std::string run_one(const ChaosParams& params, const std::string& protocol,
       if (!audit.violations.empty()) posthoc += ": " + audit.violations.front();
     }
   } else {
-    core::AdmissibilityOptions options;
-    options.max_states = 5'000'000;
-    const core::AdmissibilityResult result =
-        system.check_exact(core::Condition::kMLinearizability, options);
-    if (!result.completed) {
-      posthoc = "admissibility search exceeded the state budget";
-    } else if (!result.admissible) {
-      posthoc = "history not m-linearizable";
-    }
+    const core::Verdict verdict =
+        core::check_history(system.history(), api::claimed_condition(protocol),
+                            system.recorder().ww_ranks(), /*exact_budget=*/5'000'000);
+    if (!verdict.ok()) posthoc = verdict.detail;
   }
   if (params.stream) {
     // Live/post-hoc cross-check: the drops-to-inconclusive contract

@@ -11,9 +11,9 @@
 // Verification per execution:
 //   - mseq / mlin variants: the P5.x audit (core/audit) — legality,
 //     ~ww admissibility, and the protocol-specific timestamp obligations.
-//   - locking: the exact admissibility checker (core/admissibility)
-//     against m-linearizability — the baseline records no version
-//     vectors, so the generic exponential oracle is the only one that
+//   - locking: core::check_history against m-linearizability, which runs
+//     the exact admissibility search because the baseline records no
+//     abcast order — the generic exponential oracle is the only one that
 //     applies (workloads are kept small to keep it tractable).
 //   - every protocol: no reliable-link retry budget exhaustion and no
 //     operation left incomplete.

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "core/verdict.hpp"
 #include "obs/json.hpp"
 
 namespace mocc::obs {
@@ -567,31 +568,15 @@ RebuiltExecution rebuild_execution(const TraceFile& trace,
   }
 
   core::History history(num_processes, num_objects);
-  std::map<std::uint64_t, core::MOpId> by_ww_seq;
   for (const auto& [id, span] : roots) {
     std::vector<core::Operation> ops;
     if (const auto ops_it = ops_by_id.find(id); ops_it != ops_by_id.end()) {
       ops = ops_it->second;
     }
-    const core::MOpId added = history.add(core::MOperation(
-        span->node, std::move(ops), span->begin, span->end));
-    if ((span->arg >> 1) != 0) {
-      const std::uint64_t seq = (span->arg >> 1) - 1;
-      if (!by_ww_seq.emplace(seq, added).second) {
-        std::ostringstream why;
-        why << "two m-operations claim abcast position " << seq;
-        result.error = why.str();
-        return result;
-      }
-    }
-  }
-
-  result.ww = util::BitRelation(n);
-  result.has_ww = !by_ww_seq.empty();
-  for (auto it = by_ww_seq.begin(); it != by_ww_seq.end(); ++it) {
-    for (auto later = std::next(it); later != by_ww_seq.end(); ++later) {
-      result.ww.add(it->second, later->second);
-    }
+    history.add(core::MOperation(span->node, std::move(ops), span->begin, span->end));
+    result.ww_ranks.push_back((span->arg >> 1) != 0
+                                  ? std::optional<std::uint64_t>((span->arg >> 1) - 1)
+                                  : std::nullopt);
   }
   result.history = std::move(history);
   return result;
@@ -607,54 +592,11 @@ TraceAudit audit_from_trace(const TraceFile& trace, core::Condition condition,
     return audit;
   }
   audit.mops = rebuilt.history->size();
-  std::string why;
-  if (!rebuilt.history->well_formed(&why)) {
-    audit.detail = "rebuilt history is not well-formed: " + why;
-    return audit;
-  }
-  if (!rebuilt.history->value_coherent(&why)) {
-    audit.detail = "rebuilt history is not value-coherent: " + why;
-    return audit;
-  }
-  if (!rebuilt.has_ww) {
-    // No abcast order in the trace (2PL runs): no fast check — fall back
-    // to the exponential exact checker, bounded by exact_budget states.
-    if (exact_budget == 0) {
-      audit.ok = true;
-      audit.detail = "well-formed; no abcast order in trace, fast check skipped";
-      return audit;
-    }
-    core::AdmissibilityOptions options;
-    options.max_states = exact_budget;
-    audit.exact = core::check_condition(*rebuilt.history, condition, options);
-    std::ostringstream detail;
-    if (!audit.exact->completed) {
-      audit.ok = true;  // undecided is not a violation
-      detail << "well-formed; no abcast order in trace; exact check undecided "
-                "within "
-             << exact_budget << " states";
-      audit.detail = detail.str();
-      return audit;
-    }
-    audit.ok = audit.exact->admissible;
-    detail << core::condition_name(condition)
-           << " (exact check, no abcast order in trace): "
-           << (audit.ok ? "admissible" : "VIOLATION") << " ("
-           << audit.exact->states_visited << " states searched)";
-    audit.detail = detail.str();
-    return audit;
-  }
-  audit.fast = core::fast_check_condition(*rebuilt.history, condition,
-                                          rebuilt.ww, core::Constraint::kWW);
-  audit.ok = audit.fast->constraint_holds && audit.fast->legal &&
-             audit.fast->admissible;
-  std::ostringstream detail;
-  detail << core::condition_name(condition) << ": "
-         << (audit.ok ? "admissible" : "VIOLATION");
-  if (!audit.ok && !audit.fast->detail.empty()) {
-    detail << " (" << audit.fast->detail << ")";
-  }
-  audit.detail = detail.str();
+  core::Verdict verdict =
+      core::check_history(*rebuilt.history, condition, rebuilt.ww_ranks, exact_budget);
+  audit.ok = !verdict.violation();
+  audit.detail = std::move(verdict.detail);
+  audit.fast = std::move(verdict.fast);
   return audit;
 }
 

@@ -26,12 +26,10 @@
 #include <string>
 #include <vector>
 
-#include "core/admissibility.hpp"
 #include "core/fast_check.hpp"
 #include "core/history.hpp"
 #include "core/relations.hpp"
 #include "obs/trace.hpp"
-#include "util/relation.hpp"
 
 namespace mocc::obs {
 
@@ -120,9 +118,8 @@ void write_perfetto_json(std::ostream& out, const TraceFile& trace);
 /// reads-from. Ids must be dense 0..n-1 (they are the recorder's).
 struct RebuiltExecution {
   std::optional<core::History> history;  ///< empty on failure
-  util::BitRelation ww;  ///< abcast order over the rebuilt ids
-  bool has_ww = false;   ///< any m-operation carried a ww position
-  std::string error;     ///< set when history is empty
+  core::WwRanks ww_ranks;  ///< abcast position per rebuilt id
+  std::string error;       ///< set when history is empty
 };
 
 /// Pass 0 for `num_processes` / `num_objects` to infer them from the
@@ -132,22 +129,18 @@ RebuiltExecution rebuild_execution(const TraceFile& trace,
                                    std::size_t num_processes,
                                    std::size_t num_objects);
 
-/// Audit-from-trace: rebuild, verify well-formedness, and — when the
-/// trace carries an abcast order — run the Theorem-7 fast check of
-/// `condition` with the rebuilt ~ww as the synchronization order,
-/// exactly as api::System::check_fast does from the recorder. Traces
-/// with no abcast order (2PL runs, mocc-check locking counterexamples)
-/// fall back to the exact admissibility search, bounded by
-/// `exact_budget` states — 0 skips it (the pre-exact behavior: only the
-/// structural checks run and the audit trivially passes). An exhausted
-/// budget is reported as undecided, not as a violation.
+/// Audit-from-trace: rebuild, then core::check_history of `condition`
+/// with the rebuilt abcast positions as ~ww ranks — the Theorem-7 fast
+/// check exactly as api::System::check_fast runs it from the recorder.
+/// Traces with no abcast order (2PL runs, mocc-check locking
+/// counterexamples) get the exact search, bounded by `exact_budget`
+/// states (0 skips it). An exhausted budget is not a violation: the
+/// audit passes with "undecided" in the detail.
 struct TraceAudit {
   bool ok = false;
   std::size_t mops = 0;
   std::string detail;  ///< why !ok, or a one-line verdict
   std::optional<core::FastCheckResult> fast;  ///< set when ~ww present
-  /// Set when the exact fallback ran (no ~ww, nonzero budget).
-  std::optional<core::AdmissibilityResult> exact;
 };
 
 TraceAudit audit_from_trace(const TraceFile& trace, core::Condition condition,

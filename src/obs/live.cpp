@@ -4,9 +4,8 @@
 #include <set>
 #include <sstream>
 
-#include "core/admissibility.hpp"
-#include "core/fast_check.hpp"
 #include "core/history.hpp"
+#include "core/verdict.hpp"
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
@@ -34,11 +33,8 @@ std::string StreamingReport::to_string() const {
 }
 
 StreamingAuditor::StreamingAuditor(StreamingAuditorOptions options)
-    : options_(options) {
+    : options_(options), horizon_(std::max(kRetainUpdates, options.window)) {
   if (options_.window == 0) options_.window = 1;
-  if (options_.retain_updates < options_.window) {
-    options_.retain_updates = options_.window;
-  }
 }
 
 void StreamingAuditor::set_violation_callback(
@@ -74,12 +70,7 @@ void StreamingAuditor::on_event(const TraceEvent& event) {
 
 void StreamingAuditor::on_span(const Span& span) {
   if (downstream_ != nullptr) downstream_->on_span(span);
-  recent_spans_.push_back(span);
-  while (recent_spans_.size() > options_.excerpt_spans) {
-    recent_spans_.pop_front();
-  }
   if (span.type != SpanType::kMOp || span.parent_span != 0) return;
-  trace_spans_seen_ = true;
   ObservedMop mop;
   mop.process = span.node;
   mop.key = span.id;
@@ -94,26 +85,9 @@ void StreamingAuditor::on_span(const Span& span) {
   observe(std::move(mop));
 }
 
-void StreamingAuditor::push_recent(const ObservedMop& mop) {
-  Span span;
-  span.type = SpanType::kMOp;
-  span.span_id = mop.key;
-  span.begin = mop.invoke;
-  span.end = mop.respond;
-  span.node = mop.process;
-  span.id = mop.key;
-  span.arg = (mop.is_update ? 1u : 0u) |
-             ((mop.ww.has_value() ? *mop.ww + 1 : 0) << 1);
-  recent_spans_.push_back(span);
-  while (recent_spans_.size() > options_.excerpt_spans) {
-    recent_spans_.pop_front();
-  }
-}
-
 void StreamingAuditor::observe(ObservedMop mop) {
   ++completions_;
   ++report_.mops;
-  if (!trace_spans_seen_) push_recent(mop);
   if (violated()) return;  // verdict is final; stop paying for analysis
 
   max_process_ = std::max(max_process_, mop.process);
@@ -188,27 +162,44 @@ bool StreamingAuditor::record_update(const ObservedMop& mop) {
     }
     if (!replaced) record.writes.emplace_back(op.object, op.value);
   }
-  if (!writers_.emplace(mop.key, std::move(record)).second) {
+  const auto [slot, fresh] = writers_.emplace(mop.key, std::move(record));
+  if (!fresh) {
     std::ostringstream why;
     why << "two update m-operations carry the same key " << mop.key;
     mark_violation(report_.windows, why.str());
     return false;
   }
+  WriterRecord& writer = slot->second;
   writer_order_.push_back(mop.key);
-  if (mop.ww.has_value()) {
-    if (!ww_to_key_.emplace(*mop.ww, mop.key).second) {
-      std::ostringstream why;
-      why << "two m-operations claim abcast position " << *mop.ww;
-      mark_violation(report_.windows, why.str());
-      return false;
-    }
-    for (const auto& [object, value] : writers_[mop.key].writes) {
-      (void)value;
+  if (mop.ww.has_value() && !ww_to_key_.emplace(*mop.ww, mop.key).second) {
+    std::ostringstream why;
+    why << "two m-operations claim abcast position " << *mop.ww;
+    mark_violation(report_.windows, why.str());
+    return false;
+  }
+  // Index ranked writes by object, and pin each object's latest writer:
+  // the highest ww rank, or the most recent completion without ranks.
+  for (const auto& [object, value] : writer.writes) {
+    (void)value;
+    if (mop.ww.has_value()) {
       auto& index = by_object_ww_[object];
-      const auto pos = std::lower_bound(
-          index.begin(), index.end(), std::make_pair(*mop.ww, std::uint64_t{0}));
-      index.insert(pos, {*mop.ww, mop.key});
+      index.insert(std::lower_bound(index.begin(), index.end(),
+                                    std::make_pair(*mop.ww, std::uint64_t{0})),
+                   {*mop.ww, mop.key});
     }
+    const auto [latest, first] = latest_writer_.try_emplace(object, mop.key);
+    if (!first) {
+      WriterRecord& previous = writers_.at(latest->second);
+      if (mop.ww.has_value() && previous.ww.has_value() && *mop.ww < *previous.ww) {
+        continue;
+      }
+      if (--previous.latest_of == 0 && !previous.queued) {
+        previous.queued = true;  // displaced: ages out like any writer
+        writer_order_.push_back(latest->second);
+      }
+      latest->second = mop.key;
+    }
+    ++writer.latest_of;
   }
   return true;
 }
@@ -231,12 +222,12 @@ void StreamingAuditor::retire_waiting(std::uint64_t completed_key) {
 
 void StreamingAuditor::expire_waiting() {
   for (std::size_t i = 0; i < waiting_.size();) {
-    if (completions_ - waiting_[i].enqueued_at > options_.retain_updates) {
+    if (completions_ - waiting_[i].enqueued_at > horizon_) {
       std::ostringstream why;
       why << "m-operation key " << waiting_[i].mop.key
           << " reads from writer key " << waiting_[i].missing.front()
-          << " which did not complete within the retention horizon ("
-          << options_.retain_updates << " completions)";
+          << ", which is not retained " << horizon_
+          << " completions later (evicted, or not yet completed)";
       mark_inconclusive(why.str());
       waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
@@ -289,43 +280,46 @@ void StreamingAuditor::admit(ObservedMop mop) {
 }
 
 void StreamingAuditor::evict_writers() {
-  if (writer_order_.size() <= options_.retain_updates) return;
-  // Writers a parked m-operation will need at admission stay pinned.
-  std::set<std::uint64_t> pinned;
-  const auto pin_reads = [&](const ObservedMop& mop) {
-    if (mop.is_update) pinned.insert(mop.key);
+  if (writer_order_.size() <= horizon_) return;
+  // Writers a parked or buffered m-operation will need stay queued.
+  std::set<std::uint64_t> needed;
+  const auto need_reads = [&](const ObservedMop& mop) {
+    if (mop.is_update) needed.insert(mop.key);
     for (const ObservedOp& op : mop.ops) {
       if (op.type == core::OpType::kRead && !op.internal &&
           op.writer != kInitialWriter) {
-        pinned.insert(op.writer);
+        needed.insert(op.writer);
       }
     }
   };
-  for (const Waiting& parked : waiting_) pin_reads(parked.mop);
-  for (const ObservedMop& mop : buffer_) pin_reads(mop);
+  for (const Waiting& parked : waiting_) need_reads(parked.mop);
+  for (const ObservedMop& mop : buffer_) need_reads(mop);
   std::deque<std::uint64_t> kept;
-  while (writer_order_.size() + kept.size() > options_.retain_updates &&
-         !writer_order_.empty()) {
+  while (writer_order_.size() + kept.size() > horizon_ && !writer_order_.empty()) {
     const std::uint64_t key = writer_order_.front();
     writer_order_.pop_front();
-    if (pinned.count(key) != 0) {
+    const auto it = writers_.find(key);
+    if (it->second.latest_of != 0) {
+      // An object's latest writer leaves the queue but stays retained;
+      // record_update queues it again once it is displaced.
+      it->second.queued = false;
+      continue;
+    }
+    if (needed.count(key) != 0) {
       kept.push_back(key);
       continue;
     }
-    const auto it = writers_.find(key);
-    if (it != writers_.end()) {
-      if (it->second.ww.has_value()) {
-        ww_to_key_.erase(*it->second.ww);
-        for (const auto& [object, value] : it->second.writes) {
-          (void)value;
-          auto& index = by_object_ww_[object];
-          index.erase(std::remove(index.begin(), index.end(),
-                                  std::make_pair(*it->second.ww, key)),
-                      index.end());
-        }
+    if (it->second.ww.has_value()) {
+      ww_to_key_.erase(*it->second.ww);
+      for (const auto& [object, value] : it->second.writes) {
+        (void)value;
+        auto& index = by_object_ww_[object];
+        index.erase(std::remove(index.begin(), index.end(),
+                                std::make_pair(*it->second.ww, key)),
+                    index.end());
       }
-      writers_.erase(it);
     }
+    writers_.erase(it);
   }
   for (auto it = kept.rbegin(); it != kept.rend(); ++it) {
     writer_order_.push_front(*it);
@@ -432,34 +426,17 @@ void StreamingAuditor::cut_window() {
     return a.key < b.key;
   });
 
-  // Pre-validate per-process sequencing before History::add (which
-  // asserts). The global streaming check already enforced it over the
-  // full stream, and members ∪ ghosts is a subset — this only fires on a
-  // producer handing inconsistent times, so it gates, not flags.
-  {
-    std::map<core::ProcessId, core::Time> last;
-    for (const Entry& entry : entries) {
-      const auto it = last.find(entry.process);
-      if (it != last.end() && entry.invoke < it->second) {
-        std::ostringstream why;
-        why << "window " << wid
-            << ": member and ghost m-operations overlap on process "
-            << entry.process;
-        mark_inconclusive(why.str());
-        buffer_.clear();
-        return;
-      }
-      last[entry.process] = entry.respond;
-    }
-  }
-
+  // History::add cannot reject this order: observe() checked every
+  // process's sequencing over the whole stream, and members ∪ ghosts is
+  // a subset of it.
   std::map<std::uint64_t, core::MOpId> local_id;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     local_id[entries[i].key] = static_cast<core::MOpId>(i);
   }
 
   core::History h(max_process_ + 1, max_object_ + 1);
-  std::vector<std::pair<std::uint64_t, core::MOpId>> ww_members;
+  core::WwRanks ranks;
+  ranks.reserve(entries.size());
   core::Time window_end = 0;
   for (const Entry& entry : entries) {
     std::vector<core::Operation> ops;
@@ -483,59 +460,15 @@ void StreamingAuditor::cut_window() {
       }
       window_end = std::max(window_end, entry.respond);
     }
-    const core::MOpId added =
-        h.add(core::MOperation(entry.process, std::move(ops), entry.invoke,
-                               entry.respond,
-                               entry.ghost != nullptr ? "ghost" : ""));
-    if (entry.ww.has_value() && (entry.member == nullptr
-                                     ? !entry.ghost->writes.empty()
-                                     : entry.member->is_update)) {
-      ww_members.emplace_back(*entry.ww, added);
-    }
+    h.add(core::MOperation(entry.process, std::move(ops), entry.invoke, entry.respond,
+                           entry.ghost != nullptr ? "ghost" : ""));
+    const bool writes = entry.member == nullptr ? !entry.ghost->writes.empty()
+                                                : entry.member->is_update;
+    ranks.push_back(writes ? entry.ww : std::nullopt);
   }
 
-  std::string why;
-  bool window_ok = true;
-  bool undecided = false;
-  std::ostringstream fail;
-  if (!h.well_formed(&why)) {
-    window_ok = false;
-    fail << "window history is not well-formed: " << why;
-  } else if (!h.value_coherent(&why, options_.initial_value)) {
-    window_ok = false;
-    fail << "window history is not value-coherent: " << why;
-  } else if (ww_members.empty()) {
-    // No abcast order in the stream (2PL runs): bounded exact check.
-    if (options_.exact_budget != 0) {
-      core::AdmissibilityOptions exact_options;
-      exact_options.max_states = options_.exact_budget;
-      const core::AdmissibilityResult exact =
-          core::check_condition(h, options_.condition, exact_options);
-      if (!exact.completed) {
-        undecided = true;  // budget exhausted: undecided, not a violation
-      } else if (!exact.admissible) {
-        window_ok = false;
-        fail << core::condition_name(options_.condition)
-             << " VIOLATION (exact check, " << exact.states_visited
-             << " states searched)";
-      }
-    }
-  } else {
-    std::sort(ww_members.begin(), ww_members.end());
-    util::BitRelation ww(h.size());
-    for (std::size_t i = 0; i < ww_members.size(); ++i) {
-      for (std::size_t j = i + 1; j < ww_members.size(); ++j) {
-        ww.add(ww_members[i].second, ww_members[j].second);
-      }
-    }
-    const core::FastCheckResult fast = core::fast_check_condition(
-        h, options_.condition, ww, core::Constraint::kWW);
-    if (!fast.constraint_holds || !fast.legal || !fast.admissible) {
-      window_ok = false;
-      fail << core::condition_name(options_.condition) << " VIOLATION";
-      if (!fast.detail.empty()) fail << " (" << fast.detail << ")";
-    }
-  }
+  const core::Verdict verdict = core::check_history(
+      h, options_.condition, ranks, options_.exact_budget, options_.initial_value);
 
   if (downstream_ != nullptr) {
     TraceEvent event;
@@ -543,20 +476,28 @@ void StreamingAuditor::cut_window() {
     event.time = window_end;
     event.kind = static_cast<std::uint32_t>(entries.size());
     event.id = wid;
-    event.arg = window_ok ? (undecided ? 2 : 0) : 1;
+    event.arg = verdict.ok() ? 0 : (verdict.violation() ? 1 : 2);
     downstream_->on_event(event);
   }
 
-  if (!window_ok) {
-    std::ostringstream why_window;
-    why_window << fail.str() << " [" << buffer_.size() << " m-operations, "
-               << ghosts.size() << " ghosts]";
-    mark_violation(wid, why_window.str());
-  } else if (undecided) {
-    ++report_.windows_undecided;
-    ++report_.windows_passed;
-  } else {
-    ++report_.windows_passed;
+  switch (verdict.outcome) {
+    case core::Outcome::kOk:
+      ++report_.windows_passed;
+      break;
+    case core::Outcome::kViolation: {
+      std::ostringstream why;
+      why << verdict.detail << " [" << buffer_.size() << " m-operations, "
+          << ghosts.size() << " ghosts]";
+      mark_violation(wid, why.str());
+      break;
+    }
+    case core::Outcome::kUndecided: {
+      ++report_.windows_undecided;
+      std::ostringstream why;
+      why << "window " << wid << ": " << verdict.detail;
+      mark_inconclusive(why.str());
+      break;
+    }
   }
 
   buffer_.clear();
@@ -571,7 +512,6 @@ void StreamingAuditor::mark_violation(std::size_t window_id,
   std::ostringstream detail;
   detail << "window " << window_id << ": " << why;
   report_.detail = detail.str();
-  report_.excerpt.assign(recent_spans_.begin(), recent_spans_.end());
   if (violation_cb_) violation_cb_(report_);
 }
 
@@ -610,7 +550,8 @@ const StreamingReport& StreamingAuditor::finish() {
       std::ostringstream why;
       why << "m-operation key " << parked.mop.key
           << " reads from writer key " << parked.missing.front()
-          << " which never completed before the stream ended";
+          << ", which is not retained at the end of the stream (evicted, or "
+             "never completed)";
       mark_inconclusive(why.str());
     }
     waiting_.clear();

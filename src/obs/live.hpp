@@ -12,8 +12,9 @@
 //   - global checks, exact and windowless: well-formedness (each
 //     process's m-operations respond before the next invokes), value
 //     coherence (every external read returns its writer's final value —
-//     writers are retained up to a bounded horizon), and duplicate
-//     abcast positions;
+//     writers are retained up to a bounded horizon, and each object's
+//     latest writer until it is overwritten), and duplicate abcast
+//     positions;
 //   - per window of `window` completed m-operations: a core::History is
 //     built from the window's members plus GHOST m-operations — retained
 //     pre-window writers that window reads reference, and any retained
@@ -23,24 +24,27 @@
 //     is a true sub-history projection of the full execution: a witness
 //     for the full history restricts to a witness for every window, and
 //     the window checks therefore never flag an admissible run. The
-//     window then runs History::well_formed + value_coherent + the
-//     Theorem-7 fast check (or the bounded exact checker when no abcast
-//     order exists — 2PL runs), exactly like the post-hoc auditors.
+//     window then runs core::check_history — the Theorem-7 fast check,
+//     or the bounded exact search when no abcast order exists (2PL
+//     runs) — exactly like the post-hoc auditors.
 //
 // Where exec::verify_execution seeds each window with a snapshot
 // m-operation (sound there because commit-tid order refines real time),
 // the simulated protocols allow STALE reads — a query may read a value
 // three updates old — so the snapshot trick does not transfer; carrying
 // the actual pre-window writers with their true times does, at the cost
-// of a bounded writer-retention horizon (`retain_updates`).
+// of a bounded writer-retention horizon (kRetainUpdates). Each object's
+// latest writer is pinned outside that horizon, so a read of a cold
+// object's current value always resolves: memory is O(objects +
+// horizon).
 //
 // Verdicts form a one-way lattice: ok < inconclusive < violation. A
-// dropped trace event (ring-buffer overwrite), an evicted writer, or an
-// unresolvable read can only move the verdict to `inconclusive` — the
-// same truncation-gate contract as obs::analysis — and nothing moves it
-// back down. The first violation fires an optional callback (chaos
-// --stream uses it to stop the simulator mid-run) and captures a
-// bounded causal-span excerpt around the offending window.
+// dropped trace event (ring-buffer overwrite), an evicted writer, an
+// unresolvable read, or an undecided window (exact budget exhausted) can
+// only move the verdict to `inconclusive` — the same truncation-gate
+// contract as obs::analysis — and nothing moves it back down. The first
+// violation fires an optional callback (chaos --stream uses it to stop
+// the simulator mid-run).
 #pragma once
 
 #include <cstdint>
@@ -72,19 +76,18 @@ struct StreamingAuditorOptions {
   core::Condition condition = core::Condition::kMLinearizability;
   /// Completed m-operations per window cut (the exec::verify default).
   std::size_t window = 512;
-  /// Completed updates whose final writes stay resolvable. A read that
-  /// references a writer older than this horizon makes the verdict
-  /// inconclusive, never wrong. Clamped up to `window`.
-  std::size_t retain_updates = 8192;
-  /// State budget for the per-window exact checker when the stream
-  /// carries no abcast order (2PL). Exhaustion counts the window as
-  /// undecided — not a violation — matching audit_from_trace. 0 skips
-  /// the exact check entirely.
+  /// State budget for the per-window exact search when the stream
+  /// carries no abcast order (2PL). Exhaustion makes the window undecided
+  /// and the verdict inconclusive, never a violation. 0 skips the search.
   std::uint64_t exact_budget = 200'000;
   core::Value initial_value = 0;
-  /// Bound on the causal-span excerpt captured at the first violation.
-  std::size_t excerpt_spans = 32;
 };
+
+/// Completed updates whose final writes stay resolvable beyond each
+/// object's latest writer (raised to the window size when smaller). A
+/// read of a writer evicted from this horizon makes the verdict
+/// inconclusive, never wrong.
+inline constexpr std::size_t kRetainUpdates = 8192;
 
 inline constexpr std::size_t kNoWindow = std::numeric_limits<std::size_t>::max();
 
@@ -94,13 +97,10 @@ struct StreamingReport {
   std::size_t windows = 0;          ///< window cuts performed
   std::size_t windows_passed = 0;   ///< cuts with a clean verdict
   std::size_t windows_failed = 0;   ///< cuts that found a violation
-  std::size_t windows_undecided = 0;  ///< exact-checker budget exhausted
+  std::size_t windows_undecided = 0;  ///< exact budget exhausted (not passed)
   std::size_t first_violation_window = kNoWindow;
   /// First violation / first inconclusive reason (empty while ok).
   std::string detail;
-  /// Bounded causal-span excerpt ending at the offending window
-  /// (violations only; oldest first).
-  std::vector<Span> excerpt;
 
   bool ok() const { return verdict == StreamVerdict::kOk; }
   std::string to_string() const;
@@ -126,8 +126,7 @@ class StreamingAuditor final : public TraceSink {
   /// One completed m-operation, in completion order. `key` is the
   /// stream-wide name reads use to reference this writer: the trace
   /// m-operation id for simulator streams, the commit tid for the exec
-  /// engine. Keys of updates must be unique within the retention
-  /// horizon.
+  /// engine. Keys of retained updates must be unique.
   struct ObservedMop {
     core::ProcessId process = 0;
     std::uint64_t key = 0;
@@ -169,7 +168,7 @@ class StreamingAuditor final : public TraceSink {
   void set_downstream(TraceSink* sink);
 
   /// Cuts the final partial window and resolves stragglers; idempotent.
-  /// m-operations still waiting for a writer that never completed leave
+  /// m-operations still waiting for a writer that is not retained leave
   /// the verdict inconclusive.
   const StreamingReport& finish();
 
@@ -192,6 +191,10 @@ class StreamingAuditor final : public TraceSink {
     /// Final write per object (earlier same-object writes are invisible
     /// across m-operations).
     std::vector<std::pair<core::ObjectId, core::Value>> writes;
+    /// Objects whose latest writer this is; never evicted while > 0.
+    std::size_t latest_of = 0;
+    /// In writer_order_ (a pinned writer leaves it until displaced).
+    bool queued = true;
   };
 
   struct Waiting {
@@ -208,21 +211,19 @@ class StreamingAuditor final : public TraceSink {
   void cut_window();
   void mark_violation(std::size_t window_id, const std::string& why);
   void mark_inconclusive(const std::string& why);
-  void push_recent(const ObservedMop& mop);
 
   StreamingAuditorOptions options_;
+  const std::size_t horizon_;  ///< kRetainUpdates raised to the window
   StreamingReport report_;
   bool finished_ = false;
-  /// Real spans flow through on_span; the generic observe() path
-  /// synthesizes excerpt spans only when none do.
-  bool trace_spans_seen_ = false;
 
   // Trace-mode assembly: op events buffered until the root span closes.
   std::map<std::uint64_t, std::vector<ObservedOp>> pending_ops_;
 
-  // Retained writers, bounded by the horizon.
+  // Retained writers: the horizon plus each object's latest writer.
   std::map<std::uint64_t, WriterRecord> writers_;
   std::deque<std::uint64_t> writer_order_;  ///< completion order, for eviction
+  std::map<core::ObjectId, std::uint64_t> latest_writer_;  ///< per object
   /// Per object: retained writers with an abcast position, ascending by
   /// position — the index the interfering-ghost closure walks.
   std::map<core::ObjectId, std::vector<std::pair<std::uint64_t, std::uint64_t>>>
@@ -242,7 +243,6 @@ class StreamingAuditor final : public TraceSink {
   std::uint64_t noted_event_drops_ = 0;
   std::uint64_t noted_span_drops_ = 0;
 
-  std::deque<Span> recent_spans_;  ///< excerpt ring (bounded)
   std::function<void(const StreamingReport&)> violation_cb_;
   TraceSink* downstream_ = nullptr;
 };

@@ -1,7 +1,5 @@
 #include "protocols/recorder.hpp"
 
-#include <algorithm>
-
 #include "core/relations.hpp"
 #include "util/assert.hpp"
 
@@ -71,24 +69,12 @@ core::History ExecutionRecorder::build_history() const {
   return h;
 }
 
-util::BitRelation ExecutionRecorder::build_ww_order_locked() const {
-  util::BitRelation ww(records_.size());
-  std::vector<std::pair<std::uint64_t, core::MOpId>> updates;
-  for (core::MOpId id = 0; id < records_.size(); ++id) {
-    if (records_[id].ww_seq.has_value()) updates.emplace_back(*records_[id].ww_seq, id);
-  }
-  std::sort(updates.begin(), updates.end());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    for (std::size_t j = i + 1; j < updates.size(); ++j) {
-      ww.add(updates[i].second, updates[j].second);
-    }
-  }
-  return ww;
-}
-
-util::BitRelation ExecutionRecorder::build_ww_order() const {
+core::WwRanks ExecutionRecorder::ww_ranks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return build_ww_order_locked();
+  core::WwRanks ranks;
+  ranks.reserve(records_.size());
+  for (const auto& record : records_) ranks.push_back(record.ww_seq);
+  return ranks;
 }
 
 core::ProtocolTrace ExecutionRecorder::build_trace(const core::History& h,
@@ -102,7 +88,8 @@ core::ProtocolTrace ExecutionRecorder::build_trace(const core::History& h,
   } else {
     trace.sync_order.merge(core::real_time_order(h));  // Figure 6: ~rf ∪ ~t ∪ ~ww
   }
-  trace.sync_order.merge(build_ww_order_locked());
+  core::WwRanks ranks;
+  ranks.reserve(records_.size());
   trace.timestamps.reserve(records_.size());
   trace.is_update.reserve(records_.size());
   for (const auto& record : records_) {
@@ -111,7 +98,9 @@ core::ProtocolTrace ExecutionRecorder::build_trace(const core::History& h,
     trace.timestamps.push_back(std::move(ts));
     // Broadcast position present <=> conservatively an update.
     trace.is_update.push_back(record.ww_seq.has_value());
+    ranks.push_back(record.ww_seq);
   }
+  trace.sync_order.merge(core::ww_order(ranks));
   return trace;
 }
 

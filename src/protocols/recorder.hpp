@@ -30,6 +30,7 @@
 
 #include "core/audit.hpp"
 #include "core/history.hpp"
+#include "core/relations.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timestamp.hpp"
 
@@ -76,14 +77,13 @@ class ExecutionRecorder {
   core::ProtocolTrace build_trace(const core::History& h,
                                   bool include_process_order) const MOCC_EXCLUDES(mu_);
 
-  /// Just the atomic broadcast order ~ww over updates (the explicit
-  /// synchronization a Theorem-7 fast check needs on top of the
-  /// condition's base order).
-  util::BitRelation build_ww_order() const MOCC_EXCLUDES(mu_);
+  /// Each m-operation's atomic broadcast position (nullopt for queries):
+  /// the ~ww ranks a Theorem-7 check needs on top of the condition's
+  /// base order.
+  core::WwRanks ww_ranks() const MOCC_EXCLUDES(mu_);
 
  private:
   bool all_completed_locked() const MOCC_REQUIRES(mu_);
-  util::BitRelation build_ww_order_locked() const MOCC_REQUIRES(mu_);
 
   const std::size_t num_processes_;
   const std::size_t num_objects_;

@@ -194,9 +194,7 @@ TEST_P(ConsistencySweep, EveryProtocolMeetsItsClaimedCondition) {
 
   // Everything except the literal Figure 4 claims m-linearizability
   // (the broadcast-queries variant included).
-  const Condition claimed = p.protocol == "mseq"
-                                ? Condition::kMSequentialConsistency
-                                : Condition::kMLinearizability;
+  const Condition claimed = claimed_condition(p.protocol);
 
   // Exact checker (budgeted; these histories are small).
   core::AdmissibilityOptions options;

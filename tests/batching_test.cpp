@@ -448,9 +448,7 @@ TEST(BatchingEndToEnd, AuditCleanAndForestWellFormedWithAllKnobsOn) {
         system.run_workload(params);
 
         EXPECT_TRUE(system.audit().ok);
-        const core::Condition condition =
-            std::string(protocol) == "mseq" ? Condition::kMSequentialConsistency
-                                            : Condition::kMLinearizability;
+        const core::Condition condition = api::claimed_condition(protocol);
         EXPECT_TRUE(system.check_fast(condition).admissible);
 
         std::stringstream jsonl;

@@ -1,13 +1,18 @@
 // Tests for the exact admissibility checker (NP-complete in general,
-// Theorems 1-2) and the Theorem-7 polynomial checker, including
-// property-style agreement sweeps over random histories.
+// Theorems 1-2), the Theorem-7 polynomial checker, including
+// property-style agreement sweeps over random histories, and the
+// check_history pipeline that every verdict entry point runs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
 
 #include "core/admissibility.hpp"
 #include "core/fast_check.hpp"
 #include "core/generate.hpp"
 #include "core/legality.hpp"
 #include "core/relations.hpp"
+#include "core/verdict.hpp"
 #include "util/rng.hpp"
 
 namespace mocc::core {
@@ -328,6 +333,102 @@ TEST_P(FastExactAgreement, Theorem7MatchesExactOnWWConstrainedHistories) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FastExactAgreement,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
                                            14, 15, 16));
+
+// ------------------------------------------------- check_history contract
+
+/// Two overlapping writes of x, then a later read of the second. The
+/// rows below rank the writes; the read is a query and stays unranked.
+History racing_writes_then_read() {
+  History h(3, 1);
+  h.add(mop(0, {Operation::write(0, 1)}, 1, 10));
+  const MOpId w2 = h.add(mop(1, {Operation::write(0, 2)}, 2, 11));
+  h.add(mop(2, {Operation::read(0, 2, w2)}, 20, 21));
+  return h;
+}
+
+/// w(x)1 completes, then w(x)2, then a read returns 1: m-sequentially
+/// consistent, not m-linearizable.
+History stale_read() {
+  History h(3, 1);
+  const MOpId w1 = h.add(mop(0, {Operation::write(0, 1)}, 1, 2));
+  h.add(mop(1, {Operation::write(0, 2)}, 3, 4));
+  h.add(mop(2, {Operation::read(0, 1, w1)}, 5, 6));
+  return h;
+}
+
+struct ContractRow {
+  const char* name;
+  History history;
+  WwRanks ranks;
+  std::uint64_t budget;
+  Outcome expected;
+  const char* detail;  ///< substring the verdict's detail must contain
+};
+
+TEST(CheckHistory, ContractTable) {
+  History incoherent(2, 1);
+  const MOpId writer = incoherent.add(mop(0, {Operation::write(0, 1)}, 1, 2));
+  incoherent.add(mop(1, {Operation::read(0, 7, writer)}, 3, 4));
+
+  const ContractRow rows[] = {
+      {"incoherent read", incoherent, WwRanks(2), 1000, Outcome::kViolation,
+       "value-coherent"},
+      {"ranked and legal", racing_writes_then_read(),
+       WwRanks{0, 1, std::nullopt}, 1000, Outcome::kOk, "Theorem 7"},
+      // The reverse tid order makes the read see an overwritten value.
+      {"ranked and illegal", racing_writes_then_read(),
+       WwRanks{1, 0, std::nullopt}, 1000, Outcome::kViolation,
+       "Theorem 7 fast check: m2 reads x0 from m1, but m0 writes x0"},
+      {"duplicate rank", racing_writes_then_read(), WwRanks{4, 4, std::nullopt},
+       1000, Outcome::kViolation, "two m-operations claim ww rank 4"},
+      {"unranked and inadmissible", stale_read(), WwRanks(3), 1000,
+       Outcome::kViolation, "exact check"},
+      // Admissible, but the search needs more than one state to show it
+      // (stale_read would not do: the ~rw pruning rejects it outright).
+      {"unranked, budget 1", racing_writes_then_read(), WwRanks(3), 1,
+       Outcome::kUndecided, "undecided"},
+      // A budget of 0 decides nothing beyond steps 1-3: even this
+      // inadmissible history passes, with the skip spelled out.
+      {"unranked, budget 0", stale_read(), WwRanks(3), 0, Outcome::kOk, "not searched"},
+  };
+  for (const ContractRow& row : rows) {
+    SCOPED_TRACE(row.name);
+    const Verdict verdict =
+        check_history(row.history, Condition::kMLinearizability, row.ranks, row.budget);
+    EXPECT_EQ(verdict.outcome, row.expected) << verdict.detail;
+    EXPECT_NE(verdict.detail.find(row.detail), std::string::npos) << verdict.detail;
+    const bool ranked = std::any_of(row.ranks.begin(), row.ranks.end(),
+                                    [](const auto& rank) { return rank.has_value(); });
+    if (verdict.fast.has_value()) {
+      EXPECT_TRUE(ranked);
+      EXPECT_FALSE(verdict.exact.has_value());
+    }
+    if (verdict.ok() && verdict.fast.has_value()) {
+      ASSERT_TRUE(verdict.fast->witness.has_value());
+      EXPECT_TRUE(is_legal_sequential_order(row.history, *verdict.fast->witness));
+    }
+  }
+}
+
+// History::add refuses a process subhistory that is not sequential, so
+// no History reaching check_history can fail step 1: the "not
+// well-formed" row of the contract is enforced at construction.
+TEST(CheckHistory, NotWellFormedHistoryCannotBeBuilt) {
+  History h(1, 1);
+  h.add(mop(0, {Operation::write(0, 1)}, 1, 10));
+  EXPECT_DEATH(h.add(mop(0, {Operation::write(0, 2)}, 5, 12)), "not sequential");
+}
+
+TEST(CheckHistory, WwOrderMatchesRankOrder) {
+  const util::BitRelation ww = ww_order(WwRanks{7, std::nullopt, 3, 5});
+  EXPECT_TRUE(ww.has(2, 3));
+  EXPECT_TRUE(ww.has(3, 0));
+  EXPECT_TRUE(ww.has(2, 0));
+  EXPECT_FALSE(ww.has(0, 2));
+  EXPECT_FALSE(ww.has(1, 0));
+  EXPECT_FALSE(ww.has(0, 1));
+  EXPECT_EQ(ww.pair_count(), 3u);
+}
 
 }  // namespace
 }  // namespace mocc::core

@@ -21,11 +21,6 @@
 namespace mocc::obs {
 namespace {
 
-core::Condition condition_for(const std::string& protocol) {
-  return protocol == "mseq" ? core::Condition::kMSequentialConsistency
-                            : core::Condition::kMLinearizability;
-}
-
 protocols::WorkloadParams small_workload() {
   protocols::WorkloadParams params;
   params.ops_per_process = 8;
@@ -47,7 +42,7 @@ StreamedRun run_with_streaming(const api::SystemConfig& config,
                                std::size_t window,
                                bool stop_on_violation = false) {
   StreamingAuditorOptions options;
-  options.condition = condition_for(config.protocol);
+  options.condition = api::claimed_condition(config.protocol);
   options.window = window;
   StreamingAuditor auditor(options);
   RingBufferSink ring(1 << 18);
@@ -270,6 +265,65 @@ TEST(StreamingAuditor, ExecStreamingMatchesVerify) {
   EXPECT_EQ(report.mops, result.stats.committed);
   EXPECT_EQ(report.windows_failed, 0u);
   EXPECT_EQ(report.windows_undecided, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Bookkeeping limits never make a clean stream inconclusive: each
+// object's latest writer outlives the retention horizon.
+
+TEST(StreamingAuditor, ColdWriterOutlivesRetentionHorizon) {
+  StreamingAuditor auditor;
+  core::Time now = 0;
+  const auto update = [&](std::uint64_t key, core::ObjectId object) {
+    StreamingAuditor::ObservedMop mop;
+    mop.process = static_cast<core::ProcessId>(key % 3);
+    mop.key = key;
+    mop.invoke = now++;
+    mop.respond = now++;
+    mop.is_update = true;
+    mop.ww = key;
+    mop.ops.push_back({core::OpType::kWrite, object, static_cast<core::Value>(key + 1)});
+    auditor.observe(std::move(mop));
+  };
+  update(0, 0);  // the only write of x0
+  static_assert(9000 > kRetainUpdates);
+  for (std::uint64_t key = 1; key <= 9000; ++key) update(key, 1);
+
+  StreamingAuditor::ObservedMop read;
+  read.key = 9001;
+  read.invoke = now++;
+  read.respond = now++;
+  StreamingAuditor::ObservedOp op;
+  op.object = 0;
+  op.value = 1;
+  op.writer = 0;
+  read.ops.push_back(op);
+  auditor.observe(std::move(read));
+
+  const StreamingReport& report = auditor.finish();
+  EXPECT_EQ(report.verdict, StreamVerdict::kOk) << report.to_string();
+  EXPECT_EQ(report.mops, 9002u);
+}
+
+// An exhausted exact budget is undecided: the window does not pass and
+// the stream ends inconclusive (2PL traces carry no abcast order, so
+// every window takes the exact search).
+TEST(StreamingAuditor, UndecidedWindowMakesStreamInconclusive) {
+  StreamingAuditorOptions options;
+  options.condition = core::Condition::kMLinearizability;
+  options.window = 8;
+  options.exact_budget = 1;
+  StreamingAuditor auditor(options);
+  api::System system(base_config("locking", 1));
+  system.set_trace_sink(&auditor);
+  system.run_workload(small_workload());
+
+  const StreamingReport& report = auditor.finish();
+  EXPECT_EQ(report.verdict, StreamVerdict::kInconclusive) << report.to_string();
+  EXPECT_EQ(report.windows, 3u);
+  EXPECT_EQ(report.windows_undecided, 3u);
+  EXPECT_EQ(report.windows_passed, 0u);
+  EXPECT_NE(report.detail.find("undecided"), std::string::npos) << report.detail;
 }
 
 // ---------------------------------------------------------------------

@@ -148,9 +148,7 @@ TEST_P(ContentionStress, CompletesAndStaysConsistent) {
   const auto report = system.run_workload(params);
   EXPECT_EQ(report.queries + report.updates, 48u);
 
-  const auto claimed = std::string(GetParam()) == "mseq"
-                           ? core::Condition::kMSequentialConsistency
-                           : core::Condition::kMLinearizability;
+  const auto claimed = api::claimed_condition(GetParam());
   core::AdmissibilityOptions options;
   options.max_states = 10'000'000;
   const auto exact = system.check_exact(claimed, options);

@@ -380,7 +380,7 @@ TEST(Recorder, WwOrderFollowsSequenceNumbers) {
                     util::VersionVector::from_entries({1}), 0);
   recorder.complete(a, {core::Operation::write(0, 2)}, 6,
                     util::VersionVector::from_entries({2}), 1);
-  const auto ww = recorder.build_ww_order();
+  const auto ww = core::ww_order(recorder.ww_ranks());
   EXPECT_TRUE(ww.has(b, a));
   EXPECT_FALSE(ww.has(a, b));
 }

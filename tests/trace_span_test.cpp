@@ -80,11 +80,6 @@ TracedRun run_traced(const api::SystemConfig& config, core::Condition condition)
   return run;
 }
 
-core::Condition condition_for(const std::string& protocol) {
-  return protocol == "mseq" ? core::Condition::kMSequentialConsistency
-                            : core::Condition::kMLinearizability;
-}
-
 constexpr const char* kProtocols[] = {"mseq", "mlin", "locking"};
 
 /// The tentpole invariant sweep: 50 seeds x 3 protocols x faults on/off.
@@ -98,7 +93,7 @@ TEST(TraceSpan, ForestWellFormedAndPhasesSumExactlyAcrossSweep) {
         SCOPED_TRACE(std::string(protocol) + (faults ? "/faults" : "/clean") +
                      "/seed" + std::to_string(seed));
         const TracedRun run = run_traced(sweep_config(protocol, seed, faults),
-                                         condition_for(protocol));
+                                         api::claimed_condition(protocol));
         EXPECT_EQ(obs::truncation_reason(run.trace, /*require_header=*/true), "");
         obs::Forest forest;
         std::string error;
@@ -126,7 +121,7 @@ TEST(TraceSpan, AuditFromTraceMatchesRecorder) {
         SCOPED_TRACE(std::string(protocol) + (faults ? "/faults" : "/clean") +
                      "/seed" + std::to_string(seed));
         const api::SystemConfig config = sweep_config(protocol, seed, faults);
-        const core::Condition condition = condition_for(protocol);
+        const core::Condition condition = api::claimed_condition(protocol);
         const TracedRun run = run_traced(config, condition);
         const obs::RebuiltExecution rebuilt = obs::rebuild_execution(
             run.trace, config.num_processes, config.num_objects);
@@ -139,7 +134,7 @@ TEST(TraceSpan, AuditFromTraceMatchesRecorder) {
           EXPECT_EQ(audit.ok, run.fast_ok) << audit.detail;
           EXPECT_TRUE(audit.ok) << audit.detail;
         } else {
-          EXPECT_FALSE(rebuilt.has_ww);
+          EXPECT_FALSE(audit.fast.has_value());
           EXPECT_TRUE(audit.ok) << audit.detail;  // structural checks only
         }
       }

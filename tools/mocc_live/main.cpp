@@ -229,9 +229,7 @@ int run_demo(const DemoOptions& demo) {
   config.backlog_sample_interval = 16;
 
   mocc::obs::StreamingAuditorOptions live_options;
-  live_options.condition = demo.protocol == "mseq"
-                               ? Condition::kMSequentialConsistency
-                               : Condition::kMLinearizability;
+  live_options.condition = mocc::api::claimed_condition(demo.protocol);
   if (demo.window != 0) live_options.window = demo.window;
   mocc::obs::StreamingAuditor auditor(live_options);
 
@@ -291,9 +289,7 @@ SelftestRun selftest_run(const std::string& protocol,
   config.seed = seed;
   config.mutation = mutation;
 
-  const Condition condition = protocol == "mseq"
-                                  ? Condition::kMSequentialConsistency
-                                  : Condition::kMLinearizability;
+  const Condition condition = mocc::api::claimed_condition(protocol);
   mocc::obs::StreamingAuditorOptions live_options;
   live_options.condition = condition;
   live_options.window = 8;  // several cuts even on small runs

@@ -230,12 +230,9 @@ bool selftest_point(const std::string& protocol, std::uint64_t seed, bool faults
     *detail = "rebuilt history is not equivalent to the recorder's";
     return false;
   }
+  const Condition condition = mocc::api::claimed_condition(protocol);
+  const mocc::obs::TraceAudit audit = mocc::obs::audit_from_trace(trace, condition);
   if (system.supports_audit()) {
-    const Condition condition = protocol == "mseq"
-                                    ? Condition::kMSequentialConsistency
-                                    : Condition::kMLinearizability;
-    const mocc::obs::TraceAudit audit =
-        mocc::obs::audit_from_trace(trace, condition);
     if (!audit.fast.has_value()) {
       *detail = "trace carried no abcast order for an auditable protocol";
       return false;
@@ -251,21 +248,9 @@ bool selftest_point(const std::string& protocol, std::uint64_t seed, bool faults
       *detail = why.str();
       return false;
     }
-    if (!audit.ok) {
-      *detail = "audit reported a violation: " + audit.detail;
-      return false;
-    }
-    *detail = audit.detail;
-  } else {
-    const mocc::obs::TraceAudit audit =
-        mocc::obs::audit_from_trace(trace, Condition::kMLinearizability);
-    if (!audit.ok) {
-      *detail = audit.detail;
-      return false;
-    }
-    *detail = audit.detail;
   }
-  return true;
+  *detail = audit.detail;
+  return audit.ok;
 }
 
 int run_selftest() {
