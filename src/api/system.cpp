@@ -236,8 +236,7 @@ core::FastCheckResult System::check_fast(core::Condition condition) const {
   MOCC_ASSERT_MSG(supports_audit(),
                   "fast check needs the recorded ~ww of a §5 protocol");
   const core::History h = history();
-  return core::fast_check_condition(h, condition, recorder_->ww_ranks(),
-                                    core::Constraint::kWW);
+  return core::sparse_fast_check(h, condition, recorder_->ww_ranks());
 }
 
 core::AdmissibilityResult System::check_exact(

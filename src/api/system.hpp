@@ -148,8 +148,8 @@ class System {
   core::AuditReport audit() const;
 
   /// Theorem-7 polynomial check of the recorded history against a
-  /// condition (uses the recorded ~ww as the synchronization order).
-  /// Requires supports_audit().
+  /// condition (core::sparse_fast_check, with the recorded ~ww as the
+  /// synchronization order). Requires supports_audit().
   core::FastCheckResult check_fast(core::Condition condition) const;
 
   /// Exact (worst-case exponential) check; works for any protocol.

@@ -8,6 +8,12 @@
 // (D4.12) — irreflexive by Lemma 3/4 — and linearize; Lemma 5 (P4.5)
 // guarantees *any* linear extension of ~+ is a legal sequential history
 // equivalent to the input.
+//
+// `fast_check` and `fast_check_condition` build that construction
+// literally, over dense n×n relations: they are the oracle that tests
+// and the E4/E5 experiments compare against. `sparse_fast_check` reaches
+// the same verdict on O(n log n) edges when ~ww ranks every update
+// (sparse_check.cpp, DESIGN.md §7); every production verdict runs it.
 #pragma once
 
 #include <optional>
@@ -44,5 +50,17 @@ FastCheckResult fast_check(const History& h, const util::BitRelation& base,
 /// WW-constrained). `ww_ranks` has one entry per m-operation of `h`.
 FastCheckResult fast_check_condition(const History& h, Condition condition,
                                      const WwRanks& ww_ranks, Constraint constraint);
+
+/// The verdict of `fast_check_condition(h, condition, ww_ranks,
+/// Constraint::kWW)` without dense relations. When every m-operation
+/// that writes carries a rank and no two ranks are equal, the updates
+/// reaching an m-operation α form a ~ww prefix, so one number — hi(α),
+/// the highest rank with a path to α — decides legality (Lemma 6,
+/// Theorem 7) and a second topological sort yields the witness.
+/// Otherwise it returns the dense result. Same flags, same witness
+/// guarantee, and the same detail for a cyclic base order or an illegal
+/// read.
+FastCheckResult sparse_fast_check(const History& h, Condition condition,
+                                  const WwRanks& ww_ranks);
 
 }  // namespace mocc::core

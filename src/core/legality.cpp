@@ -8,9 +8,13 @@ namespace mocc::core {
 
 std::string LegalityViolation::to_string() const {
   std::ostringstream out;
-  out << "m" << alpha << " reads x" << object << " from m" << beta << ", but m"
-      << gamma << " writes x" << object << " and m" << beta << " ~> m" << gamma
-      << " ~> m" << alpha;
+  out << "m" << alpha << " reads x" << object << " from m" << beta;
+  if (gamma == beta) {
+    out << ", which never writes x" << object;
+    return out.str();
+  }
+  out << ", but m" << gamma << " writes x" << object << " and m" << beta << " ~> m"
+      << gamma << " ~> m" << alpha;
   return out.str();
 }
 
@@ -32,6 +36,9 @@ std::optional<LegalityViolation> find_legality_violation(
           }
         }
         continue;
+      }
+      if (!h.mop(beta).writes(read.object)) {
+        return LegalityViolation{alpha, beta, beta, read.object};
       }
       for (MOpId gamma = 0; gamma < h.size(); ++gamma) {
         if (gamma == alpha || gamma == beta) continue;

@@ -18,13 +18,18 @@ namespace mocc::core {
 struct LegalityViolation {
   MOpId alpha = 0;  // the reader
   MOpId beta = 0;   // the writer read from
-  MOpId gamma = 0;  // the interposed overwriter
+  /// The interposed overwriter; equal to `beta` when β never writes the
+  /// object, so the read names a value nobody stored there.
+  MOpId gamma = 0;
   ObjectId object = 0;
   std::string to_string() const;
 };
 
-/// D4.6 over the (transitively closed) relation `order`. Returns the
-/// first violation found, or nullopt if the history is legal.
+/// D4.6 over the (transitively closed) relation `order`, plus the
+/// premise D4.6 takes for granted: a read's named writer writes the
+/// object. Reads are scanned in (α, program order); the first violating
+/// read is returned with its smallest-id overwriter, or nullopt if the
+/// history is legal.
 std::optional<LegalityViolation> find_legality_violation(const History& h,
                                                          const util::BitRelation& order);
 

@@ -31,7 +31,9 @@ util::BitRelation reads_from_order(const History& h) {
   util::BitRelation rel(h.size());
   for (MOpId alpha = 0; alpha < h.size(); ++alpha) {
     for (const Operation& read : h.mop(alpha).external_reads()) {
-      if (read.reads_from != kInitialMOp && read.reads_from != alpha) {
+      // An external read naming α itself keeps its self-loop: α would
+      // have to precede itself, so the base order is cyclic.
+      if (read.reads_from != kInitialMOp) {
         rel.add(read.reads_from, alpha);
       }
     }

@@ -46,7 +46,7 @@ Verdict check_history(const History& h, Condition condition, const WwRanks& ww_r
 
   const char* name = condition_name(condition);
   if (!ranked.empty()) {
-    verdict.fast = fast_check_condition(h, condition, ww_ranks, Constraint::kWW);
+    verdict.fast = sparse_fast_check(h, condition, ww_ranks);
     if (verdict.fast->admissible) {
       detail << name << ": admissible (Theorem 7 fast check)";
       return conclude(Outcome::kOk);

@@ -8,9 +8,9 @@
 //   3. no two m-operations share a ~ww rank;
 //   4. if any m-operation carries a rank, ~ww totally orders the updates
 //      (WW-constraint) and Theorem 7 makes admissibility the polynomial
-//      fast check; otherwise the exact search, bounded by `exact_budget`
-//      states. An exhausted budget is `undecided`, never a violation; a
-//      budget of 0 skips the search.
+//      fast check, run sparsely (sparse_fast_check); otherwise the exact
+//      search, bounded by `exact_budget` states. An exhausted budget is
+//      `undecided`, never a violation; a budget of 0 skips the search.
 //
 // The P5.x protocol audit (audit.hpp) stays separate: it needs the
 // protocol's timestamps, which a history does not carry.

@@ -4,6 +4,8 @@
 // mocc-lint: allow(determinism): wall-clock throughput is the point of the
 // multicore engine; elapsed_seconds never feeds a golden artifact
 #include <chrono>
+#include <memory>
+#include <memory_resource>
 #include <thread>
 
 #include "util/assert.hpp"
@@ -57,6 +59,11 @@ struct Shared {
   std::atomic<std::uint64_t> clock{0};
 };
 
+/// The footprint an m-operation draws: at least one object, at most all.
+std::size_t clamped_footprint(const ExecConfig& config) {
+  return std::min(std::max<std::size_t>(config.footprint, 1), config.objects);
+}
+
 struct WorkerStats {
   std::uint64_t committed = 0;
   std::uint64_t aborted_validation = 0;
@@ -66,15 +73,32 @@ struct WorkerStats {
 
 class Worker {
  public:
+  /// `log_memory` backs the log and the op buffer. Only this constructor
+  /// allocates from it, on the calling thread: the resource is not
+  /// thread-safe, and the reservations below keep the workers off it.
   Worker(const ExecConfig& config, Shared& shared, std::uint32_t id,
-         obs::TraceSink* sink)
+         obs::TraceSink* sink, std::pmr::memory_resource* log_memory)
       : config_(config),
         shared_(shared),
         id_(id),
         sink_(sink),
         rng_(config.seed * 0x9e3779b97f4a7c15ULL + id + 1),
-        zipf_(config.objects, config.zipf_skew) {
+        zipf_(config.objects, config.zipf_skew),
+        log_(log_memory),
+        op_buffer_(log_memory) {
+    // Everything a worker fills is reserved here, on the calling thread,
+    // for the largest m-operation (an rmw logs footprint reads plus
+    // footprint writes). The commit path then allocates nothing, and no
+    // logged m-operation lands in a worker thread's malloc arena, whose
+    // freed blocks stay resident after the run.
+    const std::size_t footprint = clamped_footprint(config);
     log_.reserve(config.mops_per_thread);
+    op_buffer_.reserve(config.mops_per_thread * 2 * footprint);
+    footprint_.reserve(footprint);
+    spec_.reserve(2 * footprint);
+    ops_.reserve(2 * footprint);
+    reads_.reserve(footprint);
+    writes_.reserve(footprint);
   }
 
   void operator()() {
@@ -84,7 +108,11 @@ class Worker {
     }
   }
 
-  std::vector<CommittedMop> take_log() { return std::move(log_); }
+  /// Moves the log and the op buffer its entries view into `result`.
+  void hand_over(ExecResult& result) {
+    result.logs.push_back(std::move(log_));
+    result.op_buffers.push_back(std::move(op_buffer_));
+  }
   const WorkerStats& stats() const { return stats_; }
 
  private:
@@ -97,8 +125,7 @@ class Worker {
 
   void generate_spec() {
     spec_.clear();
-    const std::size_t footprint =
-        std::min(std::max<std::size_t>(config_.footprint, 1), config_.objects);
+    const std::size_t footprint = clamped_footprint(config_);
     footprint_.clear();
     while (footprint_.size() < footprint) {
       const core::ObjectId x = pick_object();
@@ -301,8 +328,12 @@ class Worker {
       const std::uint64_t response =
           shared_.clock.fetch_add(1, std::memory_order_seq_cst);
       ++stats_.committed;
+      MOCC_ASSERT_MSG(op_buffer_.size() + ops_.size() <= op_buffer_.capacity(),
+                      "exec: op buffer must not reallocate under logged slices");
+      const std::size_t first_op = op_buffer_.size();
+      op_buffer_.insert(op_buffer_.end(), ops_.begin(), ops_.end());
       log_.push_back({id_, tid, invoke, response, attempt, !writes_.empty(),
-                      ops_});
+                      std::span<LoggedOp>(op_buffer_).subspan(first_op)});
       if (sink_ != nullptr) {
         sink_->on_event({obs::TraceEventType::kExecCommit, response, id_,
                          /*peer=*/0, /*kind=*/0, tid, attempt});
@@ -322,7 +353,8 @@ class Worker {
   std::vector<LoggedOp> ops_;
   std::vector<ReadEntry> reads_;
   std::vector<WriteEntry> writes_;
-  std::vector<CommittedMop> log_;
+  std::pmr::vector<CommittedMop> log_;
+  std::pmr::vector<LoggedOp> op_buffer_;
   WorkerStats stats_;
 };
 
@@ -345,10 +377,20 @@ ExecResult run(const ExecConfig& config, obs::TraceSink* sink) {
   shared.clock.store(0, std::memory_order_relaxed);
   // mocc-lint: allow-end(atomics)
 
+  // Every worker's log and op buffer is carved from one block, sized for
+  // all of them: one allocation per run, where a log and a buffer per
+  // worker made 2 x threads, each of which could grow the heap by a
+  // system call. A block too small only adds another block.
+  const std::size_t worker_bytes =
+      config.mops_per_thread *
+      (sizeof(CommittedMop) + 2 * clamped_footprint(config) * sizeof(LoggedOp));
+  auto log_memory = std::make_unique<std::pmr::monotonic_buffer_resource>(
+      config.threads * (worker_bytes + 2 * alignof(std::max_align_t)));
   std::vector<Worker> workers;
   workers.reserve(config.threads);
   for (std::size_t i = 0; i < config.threads; ++i) {
-    workers.emplace_back(config, shared, static_cast<std::uint32_t>(i), sink);
+    workers.emplace_back(config, shared, static_cast<std::uint32_t>(i), sink,
+                         log_memory.get());
   }
 
   // Wall clock is measured only to report throughput; the derived gauge
@@ -370,14 +412,16 @@ ExecResult run(const ExecConfig& config, obs::TraceSink* sink) {
   ExecResult result;
   result.config = config;
   result.stats.elapsed_seconds = elapsed.count();
+  result.log_memory = std::move(log_memory);
   result.logs.reserve(config.threads);
+  result.op_buffers.reserve(config.threads);
   for (Worker& worker : workers) {
     const WorkerStats& s = worker.stats();
     result.stats.committed += s.committed;
     result.stats.aborted_validation += s.aborted_validation;
     result.stats.aborted_lock += s.aborted_lock;
     result.stats.abandoned += s.abandoned;
-    result.logs.push_back(worker.take_log());
+    worker.hand_over(result);
   }
   result.final_values.reserve(config.objects);
   for (std::size_t x = 0; x < config.objects; ++x) {

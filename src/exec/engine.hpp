@@ -24,7 +24,10 @@
 // Validation failure releases the locks untouched and re-executes the
 // m-operation from scratch. Each committed m-operation is appended to a
 // thread-local log: (worker, invoke/response logical-clock stamps,
-// operations with reads-from tids, commit tid). After the run the logs
+// operations with reads-from tids, commit tid). The operations go into
+// a per-worker op buffer reserved before the thread starts, and the log
+// entry views its slice, so a worker allocates nothing per commit
+// (DESIGN.md §12, docs/exec-engine.md). After the run the logs
 // merge deterministically by (epoch, tid) — epoch = tid >> kEpochShift,
 // the global counter advances it every 2^kEpochShift draws — and feed
 // the protocols::ExecutionRecorder, so the committed history is checked
@@ -41,6 +44,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <memory_resource>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,7 +113,9 @@ struct CommittedMop {
   std::uint64_t response = 0;  ///< logical-clock stamp after publication
   std::uint32_t attempts = 1;  ///< 1 = committed first try
   bool is_update = false;
-  std::vector<LoggedOp> ops;
+  /// Its operations in program order: a slice of the worker's op buffer
+  /// (ExecResult::op_buffers), valid as long as that ExecResult.
+  std::span<LoggedOp> ops;
 };
 
 struct ExecStats {
@@ -123,15 +131,38 @@ struct ExecStats {
   std::uint64_t mops_per_sec() const;
 };
 
+/// Move-only: the log entries view `op_buffers`, and a copy would view
+/// the source's buffers. Moving keeps every buffer's storage in place.
 struct ExecResult {
+  ExecResult() = default;
+  ExecResult(ExecResult&&) = default;
+  /// Member-wise in declaration order, so the old logs and buffers are
+  /// released before `log_memory`, the block they live in.
+  ExecResult& operator=(ExecResult&&) = default;
+  ExecResult(const ExecResult&) = delete;
+  ExecResult& operator=(const ExecResult&) = delete;
+  /// Releases the logs and buffers before the block they live in.
+  ~ExecResult() {
+    logs.clear();
+    op_buffers.clear();
+  }
+
   ExecConfig config;
   ExecStats stats;
   /// Thread-local commit logs, one per worker, in local commit order
   /// (ascending tid within each log).
-  std::vector<std::vector<CommittedMop>> logs;
+  std::vector<std::pmr::vector<CommittedMop>> logs;
+  /// The logged operations, one buffer per worker: `logs[w][i].ops` is
+  /// a slice of `op_buffers[w]`. Each buffer is reserved for the worker's
+  /// largest possible output before its thread starts and never grows
+  /// past that reservation, so the slices never dangle.
+  std::vector<std::pmr::vector<LoggedOp>> op_buffers;
   /// Committed value of every object after the run (the store's final
   /// state; verify.cpp cross-checks it against the merged log replay).
   std::vector<core::Value> final_values;
+  /// The block exec::run carves every log and op buffer from (null for
+  /// an ExecResult built by hand, whose vectors use the default heap).
+  std::unique_ptr<std::pmr::monotonic_buffer_resource> log_memory;
 };
 
 /// Runs the workload: `threads` real threads against one shared store.

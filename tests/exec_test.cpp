@@ -6,6 +6,8 @@
 // slows the workers ~10x); CI's exec-stress step runs exactly these
 // tests on the tsan preset at 8 threads.
 #include <algorithm>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +26,17 @@
 #endif
 #ifndef MOCC_EXEC_TEST_TSAN
 #define MOCC_EXEC_TEST_TSAN 0
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define MOCC_EXEC_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MOCC_EXEC_TEST_ASAN 1
+#endif
+#endif
+#ifndef MOCC_EXEC_TEST_ASAN
+#define MOCC_EXEC_TEST_ASAN 0
 #endif
 
 namespace mocc::exec {
@@ -227,28 +240,63 @@ TEST(ExecEngineTest, VerifiedMultiThreadRun) {
   EXPECT_GT(report.windows, 1u);  // the windowed path actually windowed
 }
 
+/// One hand-written committed m-operation (committed first try).
+struct HandMop {
+  std::uint32_t worker = 0;
+  std::uint64_t tid = 0;
+  std::uint64_t invoke = 0;
+  std::uint64_t response = 0;
+  std::vector<LoggedOp> ops;
+};
+
+/// An execution as exec::run would log it: one worker per distinct
+/// `worker` id up to the largest, each m-operation's ops copied into its
+/// worker's op buffer, which is reserved first so the views stay valid.
+ExecResult hand_built(std::size_t objects, const std::vector<HandMop>& mops,
+                      std::vector<core::Value> final_values) {
+  std::size_t threads = 0;
+  std::size_t total_ops = 0;
+  for (const HandMop& mop : mops) {
+    threads = std::max<std::size_t>(threads, mop.worker + 1);
+    total_ops += mop.ops.size();
+  }
+  ExecResult result;
+  result.config.threads = threads;
+  result.config.objects = objects;
+  result.config.mops_per_thread = 1;
+  result.stats.committed = mops.size();
+  result.logs.resize(threads);
+  result.op_buffers.resize(threads);
+  for (std::pmr::vector<LoggedOp>& buffer : result.op_buffers) buffer.reserve(total_ops);
+  for (const HandMop& mop : mops) {
+    std::pmr::vector<LoggedOp>& buffer = result.op_buffers[mop.worker];
+    const std::size_t first_op = buffer.size();
+    buffer.insert(buffer.end(), mop.ops.begin(), mop.ops.end());
+    const bool is_update = std::any_of(mop.ops.begin(), mop.ops.end(), [](const LoggedOp& op) {
+      return op.type == core::OpType::kWrite;
+    });
+    result.logs[mop.worker].push_back({mop.worker, mop.tid, mop.invoke, mop.response,
+                                       /*attempts=*/1, is_update,
+                                       std::span<LoggedOp>(buffer).subspan(first_op)});
+  }
+  result.final_values = std::move(final_values);
+  return result;
+}
+
 // A deliberately corrupted "execution": two m-operations both read x's
 // initial version and both write x — the classic OCC lost-update anomaly
 // that read-set validation exists to prevent. The replay invariant and
 // the checkers must reject it.
 TEST(ExecVerifyTest, HandBuiltLostUpdateIsRejected) {
-  ExecResult result;
-  result.config.threads = 2;
-  result.config.objects = 1;
-  result.config.mops_per_thread = 1;
-  result.stats.committed = 2;
-  result.logs.resize(2);
-  result.logs[0].push_back(
-      {/*worker=*/0, /*tid=*/1, /*invoke=*/0, /*response=*/4, /*attempts=*/1,
-       /*is_update=*/true,
-       {{core::OpType::kRead, 0, 0, kInitialTid},
-        {core::OpType::kWrite, 0, 1, kInitialTid}}});
-  result.logs[1].push_back(
-      {/*worker=*/1, /*tid=*/2, /*invoke=*/1, /*response=*/5, /*attempts=*/1,
-       /*is_update=*/true,
-       {{core::OpType::kRead, 0, 0, kInitialTid},  // lost update: stale read
-        {core::OpType::kWrite, 0, 1, kInitialTid}}});
-  result.final_values = {1};
+  const ExecResult result = hand_built(
+      /*objects=*/1,
+      {{/*worker=*/0, /*tid=*/1, /*invoke=*/0, /*response=*/4,
+        {{core::OpType::kRead, 0, 0, kInitialTid},
+         {core::OpType::kWrite, 0, 1, kInitialTid}}},
+       {/*worker=*/1, /*tid=*/2, /*invoke=*/1, /*response=*/5,
+        {{core::OpType::kRead, 0, 0, kInitialTid},  // lost update: stale read
+         {core::OpType::kWrite, 0, 1, kInitialTid}}}},
+      /*final_values=*/{1});
   const VerifyReport report = verify_execution(result);
   EXPECT_FALSE(report.ok);
   EXPECT_FALSE(report.violations.empty());
@@ -258,21 +306,15 @@ TEST(ExecVerifyTest, HandBuiltLostUpdateIsRejected) {
 // schedule OCC actually produces — must pass, pinning that the rejection
 // above is the anomaly, not the harness.
 TEST(ExecVerifyTest, HandBuiltSerializedPairIsAccepted) {
-  ExecResult result;
-  result.config.threads = 2;
-  result.config.objects = 1;
-  result.config.mops_per_thread = 1;
-  result.stats.committed = 2;
-  result.logs.resize(2);
-  result.logs[0].push_back(
-      {0, /*tid=*/1, /*invoke=*/0, /*response=*/4, 1, true,
-       {{core::OpType::kRead, 0, 0, kInitialTid},
-        {core::OpType::kWrite, 0, 1, kInitialTid}}});
-  result.logs[1].push_back(
-      {1, /*tid=*/2, /*invoke=*/5, /*response=*/6, 1, true,
-       {{core::OpType::kRead, 0, 1, /*from_tid=*/1},
-        {core::OpType::kWrite, 0, 2, kInitialTid}}});
-  result.final_values = {2};
+  const ExecResult result = hand_built(
+      /*objects=*/1,
+      {{0, /*tid=*/1, /*invoke=*/0, /*response=*/4,
+        {{core::OpType::kRead, 0, 0, kInitialTid},
+         {core::OpType::kWrite, 0, 1, kInitialTid}}},
+       {1, /*tid=*/2, /*invoke=*/5, /*response=*/6,
+        {{core::OpType::kRead, 0, 1, /*from_tid=*/1},
+         {core::OpType::kWrite, 0, 2, kInitialTid}}}},
+      /*final_values=*/{2});
   const VerifyReport report = verify_execution(result);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
@@ -280,18 +322,96 @@ TEST(ExecVerifyTest, HandBuiltSerializedPairIsAccepted) {
 // Stale final state (e.g. a write published to the log but not the
 // store) is caught by the final-state cross-check.
 TEST(ExecVerifyTest, FinalStateMismatchIsRejected) {
-  ExecResult result;
-  result.config.threads = 1;
-  result.config.objects = 1;
-  result.config.mops_per_thread = 1;
-  result.stats.committed = 1;
-  result.logs.resize(1);
-  result.logs[0].push_back(
-      {0, /*tid=*/1, /*invoke=*/0, /*response=*/1, 1, true,
-       {{core::OpType::kWrite, 0, 7, kInitialTid}}});
-  result.final_values = {0};  // store says 0, log says 7
+  const ExecResult result = hand_built(
+      /*objects=*/1,
+      {{0, /*tid=*/1, /*invoke=*/0, /*response=*/1,
+        {{core::OpType::kWrite, 0, 7, kInitialTid}}}},
+      /*final_values=*/{0});  // store says 0, log says 7
   const VerifyReport report = verify_execution(result);
   EXPECT_FALSE(report.ok);
+}
+
+// Every logged m-operation views its own worker's op buffer, in commit
+// order, and no buffer outgrew the reservation the worker made before
+// its thread started (growing would have moved it under earlier views).
+TEST(ExecEngineTest, LoggedOpsLieInTheirWorkersReservedBuffer) {
+  ExecConfig config = small_config();
+  config.threads = 4;
+  config.footprint = 4;
+  config.query_ratio = 0.2;
+  config.rmw_ratio = 0.8;  // mostly rmw sets: 2 x footprint ops each
+  const ExecResult result = run(config);
+  ASSERT_EQ(result.op_buffers.size(), result.logs.size());
+  for (std::size_t w = 0; w < result.logs.size(); ++w) {
+    const std::pmr::vector<LoggedOp>& buffer = result.op_buffers[w];
+    EXPECT_LE(buffer.size(), config.mops_per_thread * 2 * config.footprint);
+    const LoggedOp* next = buffer.data();
+    for (const CommittedMop& mop : result.logs[w]) {
+      ASSERT_FALSE(mop.ops.empty());
+      EXPECT_EQ(mop.ops.data(), next);
+      next += mop.ops.size();
+    }
+    EXPECT_EQ(next, buffer.data() + buffer.size());
+  }
+}
+
+// A run's logs live in a block its ExecResult owns. Assigning a new
+// result over an old one must release the old logs before the old block
+// and keep the new logs in theirs (the sanitizer builds check the
+// lifetimes).
+TEST(ExecEngineTest, MoveAssignedResultKeepsItsLogs) {
+  ExecConfig config = small_config();
+  config.threads = 2;
+  ExecResult result;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    config.seed = seed;
+    result = run(config);
+  }
+  EXPECT_EQ(merge_logs(result).size(), result.stats.committed);
+  EXPECT_TRUE(verify_execution(result).ok);
+}
+
+// Resident memory is read from /proc; the sanitizers replace malloc.
+#if defined(__linux__) && !MOCC_EXEC_TEST_ASAN && !MOCC_EXEC_TEST_TSAN
+#define MOCC_EXEC_TEST_RSS 1
+std::size_t resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoul(line.substr(6));
+  }
+  return 0;
+}
+#else
+#define MOCC_EXEC_TEST_RSS 0
+#endif
+
+// Back-to-back runs at perfbench's exec-verify shape must not ratchet
+// resident memory up: nothing a run logs may stay behind in the worker
+// threads' malloc arenas once its ExecResult is gone.
+TEST(ExecEngineTest, RepeatedRunsDoNotGrowResidentMemory) {
+#if !MOCC_EXEC_TEST_RSS
+  GTEST_SKIP() << "needs /proc/self/status and the system malloc";
+#else
+  ExecConfig config;
+  config.threads = 4;
+  config.objects = 64;
+  config.mops_per_thread = 25000 / config.threads;
+  config.footprint = 4;
+  config.query_ratio = 0.4;
+  config.rmw_ratio = 0.5;
+  config.zipf_skew = 0.9;
+  std::size_t after_second_run = 0;
+  for (std::uint64_t run_number = 1; run_number <= 40; ++run_number) {
+    config.seed = run_number;
+    const ExecResult result = run(config);
+    ASSERT_EQ(merge_logs(result).size(), result.stats.committed);
+    if (run_number == 2) after_second_run = resident_kib();
+  }
+  ASSERT_GT(after_second_run, 0u);
+  EXPECT_LE(resident_kib(), after_second_run + 1024)
+      << "VmRSS after run 2: " << after_second_run << " KiB";
+#endif
 }
 
 TEST(ExecEngineTest, MaxAttemptsIsHonoredSingleThread) {
