@@ -820,7 +820,7 @@ std::vector<ExperimentRecord> run_e10(const SuiteOptions& options) {
   // point's merged (epoch, tid) log is re-checked by the admissibility
   // stack; the verdict lands in the record's audit field. The fast
   // check + value coherence + replay invariants run everywhere; the
-  // P5.x audit (quadratic in window size x objects) runs on the
+  // real-time contract check (VerifyOptions::run_audit) runs on the
   // high-contention legs, where validation aborts actually happen.
   //
   // Smoke mode keeps only the single-thread points: one worker commits

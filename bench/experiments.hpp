@@ -215,8 +215,8 @@ std::vector<ExperimentRecord> run_e9(const SuiteOptions& options);
 /// E10: the multicore execution engine (src/exec) — threads x
 /// object-count x contention sweep of OCC commit throughput and abort
 /// rate, every point's merged history re-checked by the admissibility
-/// stack (fast check everywhere; the P5.x audit on the high-contention
-/// legs, where aborts actually occur). Smoke mode runs the
+/// stack (fast check everywhere; the real-time contract check on the
+/// high-contention legs, where aborts actually occur). Smoke mode runs the
 /// single-thread points only: with one worker the engine is
 /// deterministic end to end and the record — wall-clock gauge pinned to
 /// zero — is golden-tested byte-for-byte like every simulator record.

@@ -227,9 +227,8 @@ bool System::supports_audit() const {
 core::AuditReport System::audit() const {
   MOCC_ASSERT_MSG(supports_audit(), "audit requires a §5 protocol (mseq/mlin)");
   const core::History h = history();
-  const core::ProtocolTrace trace =
-      recorder_->build_trace(h, /*include_process_order=*/config_.protocol == "mseq");
-  return core::audit_protocol_execution(h, trace);
+  return core::sparse_audit(h, claimed_condition(config_.protocol), recorder_->ww_ranks(),
+                            recorder_->timestamps());
 }
 
 core::FastCheckResult System::check_fast(core::Condition condition) const {

@@ -145,6 +145,9 @@ class System {
   /// True for the §5 protocols (mseq / mlin variants) whose timestamped
   /// traces the P5.x audit understands.
   bool supports_audit() const;
+  /// The P5.x audit (core::sparse_audit) of the recorded execution, over
+  /// the ~>H− of claimed_condition(protocol): Figure 4's for "mseq",
+  /// Figure 6's otherwise. Requires supports_audit().
   core::AuditReport audit() const;
 
   /// Theorem-7 polynomial check of the recorded history against a

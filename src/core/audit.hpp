@@ -6,6 +6,14 @@
 // re-checks the properties on the recorded run, turning the paper's proof
 // obligations into machine-checked runtime oracles. Any violation means a
 // protocol bug (or a broken atomic broadcast underneath).
+//
+// `sparse_audit` is the production audit (api::System::audit). Pointwise
+// ≤ on timestamps is transitive, so every closed-pair property follows
+// from the generating edges of ~>H− — reads-from, the ~ww chain between
+// consecutive ranks, and process order (Figure 4) or real time
+// (Figure 6) — and it runs in O((n + E)·objects). `audit_protocol_execution`
+// checks the same properties literally, on the closed n×n relation of a
+// ProtocolTrace: it is the oracle the tests compare against.
 #pragma once
 
 #include <optional>
@@ -13,12 +21,13 @@
 #include <vector>
 
 #include "core/history.hpp"
+#include "core/relations.hpp"
 #include "util/relation.hpp"
 #include "util/timestamp.hpp"
 
 namespace mocc::core {
 
-/// Everything a protocol execution must expose for auditing.
+/// Everything a protocol execution must expose for the dense audit.
 struct ProtocolTrace {
   /// ~>H− : the union the protocol defines (Figure 4: ~P ∪ ~rf ∪ ~ww;
   /// Figure 6: ~rf ∪ ~t ∪ ~ww), NOT transitively closed.
@@ -33,6 +42,12 @@ struct ProtocolTrace {
   std::vector<bool> is_update;
 };
 
+/// The trace of one execution for `condition`'s ~>H− (as in sparse_audit):
+/// reads-from, process order (m-SC) or real time (m-lin), and ~ww from
+/// `ww_ranks`, which also classify the updates.
+ProtocolTrace protocol_trace(const History& h, Condition condition, const WwRanks& ww_ranks,
+                             std::vector<util::VersionVector> timestamps);
+
 struct AuditReport {
   bool ok = true;
   std::vector<std::string> violations;
@@ -43,7 +58,32 @@ struct AuditReport {
 
 /// Checks P5.1–P5.4 and P5.7–P5.8 (Theorem 10's hypotheses) plus the
 /// derived WW-constraint (Lemma 8) and legality (Lemma 9) on the closed
-/// relation. `trace.sync_order` must relate ids of `h`.
+/// relation. `trace.sync_order` must relate ids of `h`. The test oracle.
 AuditReport audit_protocol_execution(const History& h, const ProtocolTrace& trace);
+
+/// The same properties on the generating edges. `condition` picks ~>H−:
+/// m-sequential consistency is Figure 4's (~P ∪ ~rf ∪ ~ww), m-linearizability
+/// Figure 6's (~rf ∪ ~t ∪ ~ww). An m-operation is a (conservative) update
+/// iff `ww_ranks` ranks it; `timestamps` holds ts(α) per m-operation, all
+/// of h.num_objects() entries.
+///
+///   - The cycle check, Lemma 8 and Lemma 9 are one sparse_fast_check.
+///     Under m-linearizability its base adds process order, which has the
+///     same closure when each process invokes strictly after its previous
+///     response, as api::System::submit and protocols::run_workload do.
+///   - P5.3/P5.4 hold on every closed pair iff they hold on every
+///     generating edge: ≤ is transitive, and strictness comes from the
+///     last edge into α. Real time is one sweep in invocation order
+///     against the pointwise max of ts over the m-operations responded.
+///   - P5.1 is checked on reads-from and process-order edges between two
+///     unranked m-operations; real-time edges satisfy it by construction.
+///   - P5.2 holds iff the ranks are distinct. The dense audit orders tied
+///     ranks by id and stays silent; this one names the pair.
+///
+/// With distinct ranks and that spacing it rejects exactly when the dense
+/// audit does, and every property it names the dense audit names too:
+/// one message per violating edge rather than per closed pair.
+AuditReport sparse_audit(const History& h, Condition condition, const WwRanks& ww_ranks,
+                         const std::vector<util::VersionVector>& timestamps);
 
 }  // namespace mocc::core

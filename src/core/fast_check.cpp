@@ -11,7 +11,7 @@ FastCheckResult fast_check(const History& h, const util::BitRelation& base,
   const util::BitRelation closed = base.transitive_closure();
 
   if (!closed.closed_is_irreflexive()) {
-    result.detail = "base order is cyclic";
+    result.detail = kCyclicBaseOrder;
     return result;
   }
 

@@ -27,6 +27,9 @@
 
 namespace mocc::core {
 
+/// FastCheckResult::detail when the base order, ~ww included, is cyclic.
+inline constexpr const char* kCyclicBaseOrder = "base order is cyclic";
+
 struct FastCheckResult {
   /// Whether the claimed constraint actually holds for the history; if it
   /// does not, Theorem 7 does not apply and `admissible` is meaningless.

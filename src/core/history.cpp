@@ -65,36 +65,35 @@ bool History::well_formed(std::string* why) const {
 }
 
 bool History::value_coherent(std::string* why, Value initial_value) const {
-  const auto complain = [why](std::string message) {
-    if (why != nullptr) *why = std::move(message);
+  // Formats the message only for the read that fails.
+  const auto complain = [why](MOpId id, const Operation& read, const auto&... tail) {
+    if (why != nullptr) {
+      std::ostringstream out;
+      out << "m" << id << " reads x" << read.object << " = " << read.value << " from ";
+      (out << ... << tail);
+      *why = out.str();
+    }
     return false;
   };
   for (MOpId id = 0; id < mops_.size(); ++id) {
     for (const Operation& read : mops_[id].external_reads()) {
-      std::ostringstream out;
-      out << "m" << id << " reads x" << read.object << " = " << read.value
-          << " from ";
       if (read.reads_from == kInitialMOp) {
         if (read.value != initial_value) {
-          out << "the initial write, whose value is " << initial_value;
-          return complain(out.str());
+          return complain(id, read, "the initial write, whose value is ", initial_value);
         }
         continue;
       }
       if (read.reads_from >= mops_.size()) {
-        out << "m" << read.reads_from << ", which does not exist";
-        return complain(out.str());
+        return complain(id, read, "m", read.reads_from, ", which does not exist");
       }
       const MOperation& writer = mops_[read.reads_from];
       if (!writer.writes(read.object)) {
-        out << "m" << read.reads_from << ", which never writes x"
-            << read.object;
-        return complain(out.str());
+        return complain(id, read, "m", read.reads_from, ", which never writes x",
+                        read.object);
       }
-      if (writer.final_write_value(read.object) != read.value) {
-        out << "m" << read.reads_from << ", whose final write stores "
-            << writer.final_write_value(read.object);
-        return complain(out.str());
+      const Value stored = writer.final_write_value(read.object);
+      if (stored != read.value) {
+        return complain(id, read, "m", read.reads_from, ", whose final write stores ", stored);
       }
     }
   }

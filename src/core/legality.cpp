@@ -7,13 +7,14 @@
 namespace mocc::core {
 
 std::string LegalityViolation::to_string() const {
+  const std::string writer = beta == kInitialMOp ? "init" : "m" + std::to_string(beta);
   std::ostringstream out;
-  out << "m" << alpha << " reads x" << object << " from m" << beta;
+  out << "m" << alpha << " reads x" << object << " from " << writer;
   if (gamma == beta) {
     out << ", which never writes x" << object;
     return out.str();
   }
-  out << ", but m" << gamma << " writes x" << object << " and m" << beta << " ~> m"
+  out << ", but m" << gamma << " writes x" << object << " and " << writer << " ~> m"
       << gamma << " ~> m" << alpha;
   return out.str();
 }

@@ -17,7 +17,7 @@ namespace mocc::core {
 
 struct LegalityViolation {
   MOpId alpha = 0;  // the reader
-  MOpId beta = 0;   // the writer read from
+  MOpId beta = 0;   // the writer read from; kInitialMOp, printed "init", for the initial write
   /// The interposed overwriter; equal to `beta` when β never writes the
   /// object, so the read names a value nobody stored there.
   MOpId gamma = 0;

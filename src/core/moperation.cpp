@@ -64,11 +64,12 @@ bool MOperation::touches(ObjectId x) const {
 }
 
 Value MOperation::final_write_value(ObjectId x) const {
-  for (const Operation& op : final_writes_) {
-    if (op.object == x) return op.value;
-  }
-  MOCC_ASSERT_MSG(false, "final_write_value on object not written");
-  return 0;
+  const auto it = std::lower_bound(
+      final_writes_.begin(), final_writes_.end(), x,
+      [](const Operation& op, ObjectId object) { return op.object < object; });
+  MOCC_ASSERT_MSG(it != final_writes_.end() && it->object == x,
+                  "final_write_value on object not written");
+  return it->value;
 }
 
 std::string MOperation::to_string() const {

@@ -65,10 +65,12 @@ class MOperation {
   const std::vector<Operation>& external_reads() const { return external_reads_; }
 
   /// *Final* writes: the last write per object (earlier same-object writes
-  /// are overwritten within the m-operation and cannot be read by others).
+  /// are overwritten within the m-operation and cannot be read by others),
+  /// sorted by object.
   const std::vector<Operation>& final_writes() const { return final_writes_; }
 
-  /// The value the final write stores into x; requires writes(x).
+  /// The value the final write stores into x (a binary search); requires
+  /// writes(x).
   Value final_write_value(ObjectId x) const;
 
   std::string to_string() const;

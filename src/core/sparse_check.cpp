@@ -183,7 +183,7 @@ FastCheckResult sparse_fast_check(const History& h, Condition condition,
     const Graph base(nodes, edges);
     const std::vector<Node> order = base.topological_order();
     if (order.size() < nodes) {
-      result.detail = "base order is cyclic";
+      result.detail = kCyclicBaseOrder;
       return result;
     }
     std::copy(ord.begin(), ord.end(), hi.begin());

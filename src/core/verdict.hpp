@@ -12,8 +12,9 @@
 //      search, bounded by `exact_budget` states. An exhausted budget is
 //      `undecided`, never a violation; a budget of 0 skips the search.
 //
-// The P5.x protocol audit (audit.hpp) stays separate: it needs the
-// protocol's timestamps, which a history does not carry.
+// The P5.x protocol audit (audit.hpp, core::sparse_audit) stays
+// separate: it needs the protocol's timestamps, which a history does not
+// carry.
 #pragma once
 
 #include <cstdint>

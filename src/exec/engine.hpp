@@ -31,8 +31,8 @@
 // merge deterministically by (epoch, tid) — epoch = tid >> kEpochShift,
 // the global counter advances it every 2^kEpochShift draws — and feed
 // the protocols::ExecutionRecorder, so the committed history is checked
-// by the SAME Theorem-7 fast check, P5.x audit, and value-coherence
-// residue check as the simulated protocols (verify.hpp).
+// by the SAME verdict (value coherence and the Theorem-7 fast check) as
+// the simulated protocols (verify.hpp).
 //
 // The invoke/response stamps come from a second global counter (the
 // logical clock), drawn before the first read and after the last
@@ -40,7 +40,10 @@
 // overlap in the history iff their executions overlapped. Commit-tid
 // order refines that real-time order (a response stamp is drawn after
 // its tid, an invoke stamp before), which is what makes the merged
-// history m-linearizable, not merely m-sequentially consistent.
+// history m-linearizable, not merely m-sequentially consistent. That
+// refinement, forward reads-from edges, and reads of the latest
+// committed writer are the engine's contract, which verification checks
+// in linear time instead of a P5.x audit (verify.hpp).
 #pragma once
 
 #include <cstdint>

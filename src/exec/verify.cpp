@@ -4,7 +4,6 @@
 #include <chrono>
 #include <sstream>
 
-#include "core/audit.hpp"
 #include "core/history.hpp"
 #include "core/verdict.hpp"
 #include "protocols/recorder.hpp"
@@ -31,17 +30,38 @@ std::string VerifyReport::to_string() const {
 namespace {
 
 /// Replay state carried across windows: per object, the tid and value of
-/// its latest committed writer and its total committed write count.
+/// its latest committed writer.
 struct ReplayState {
   std::vector<std::uint64_t> last_tid;
   std::vector<core::Value> last_value;
-  std::vector<std::uint64_t> write_count;
 
   ReplayState(std::size_t objects, core::Value initial_value)
-      : last_tid(objects, kInitialTid),
-        last_value(objects, initial_value),
-        write_count(objects, 0) {}
+      : last_tid(objects, kInitialTid), last_value(objects, initial_value) {}
 };
+
+/// Contract (a): tid order refines real time, so no m-operation responds
+/// before an m-operation with a smaller tid is invoked. Walking the merged
+/// order from the back, `earliest` is the first to respond among the
+/// larger tids; reports the smallest tid invoked after such a response.
+void check_tid_order_refines_real_time(const std::vector<const CommittedMop*>& merged,
+                                       VerifyReport& report) {
+  const CommittedMop* earliest = nullptr;
+  const CommittedMop* late = nullptr;
+  const CommittedMop* early = nullptr;
+  for (auto it = merged.rbegin(); it != merged.rend(); ++it) {
+    const CommittedMop* mop = *it;
+    if (earliest != nullptr && earliest->response < mop->invoke) {
+      late = mop;
+      early = earliest;
+    }
+    if (earliest == nullptr || mop->response < earliest->response) earliest = mop;
+  }
+  if (late == nullptr) return;
+  report.fail("tid " + std::to_string(late->tid) + " is invoked at " +
+              std::to_string(late->invoke) + ", after tid " + std::to_string(early->tid) +
+              " responded at " + std::to_string(early->response) +
+              ": tid order does not refine real time");
+}
 
 /// tid → window-local MOpId for committed updates already replayed in
 /// the current window (kept sorted; merged order is ascending tid).
@@ -87,6 +107,8 @@ VerifyReport verify_execution(const ExecResult& result,
     }
   }
 
+  if (options.run_audit) check_tid_order_refines_real_time(merged, report);
+
   ReplayState state(objects, result.config.initial_value);
   const std::size_t window = std::max<std::size_t>(options.window, 2);
   TidIndex index;
@@ -111,8 +133,7 @@ VerifyReport verify_execution(const ExecResult& result,
         snapshot_ops.push_back(core::Operation::write(
             static_cast<core::ObjectId>(x), state.last_value[x]));
       }
-      recorder.complete(snapshot_id, std::move(snapshot_ops), 1,
-                        util::VersionVector::from_entries(state.write_count),
+      recorder.complete(snapshot_id, std::move(snapshot_ops), 1, util::VersionVector(),
                         /*ww_seq=*/0);
     }
 
@@ -164,20 +185,13 @@ VerifyReport verify_execution(const ExecResult& result,
         ops.push_back(core::Operation::read(op.object, op.value, reads_from));
       }
 
-      // ts(α) = per-object committed write counts including α's own
-      // writes (one version per written object per m-operation, the
-      // granularity P5.8 expects).
       for (const LoggedOp& op : mop.ops) {
         if (op.type != core::OpType::kWrite) continue;
-        if (state.last_tid[op.object] != mop.tid) {
-          state.last_tid[op.object] = mop.tid;
-          ++state.write_count[op.object];
-        }
+        state.last_tid[op.object] = mop.tid;
         state.last_value[op.object] = op.value;  // last write in PO wins
       }
       recorder.complete(
-          id, std::move(ops), mop.response + 2,
-          util::VersionVector::from_entries(state.write_count),
+          id, std::move(ops), mop.response + 2, util::VersionVector(),
           mop.is_update ? std::optional<std::uint64_t>(mop.tid) : std::nullopt);
       if (mop.is_update) index.add(mop.tid, id);
     }
@@ -192,14 +206,6 @@ VerifyReport verify_execution(const ExecResult& result,
                             /*exact_budget=*/0, result.config.initial_value);
     if (!verdict.ok()) {
       report.fail("window " + std::to_string(window_number) + ": " + verdict.detail);
-      continue;
-    }
-    if (options.run_audit) {
-      const core::AuditReport audit = core::audit_protocol_execution(
-          h, recorder.build_trace(h, /*include_process_order=*/false));
-      for (const std::string& v : audit.violations) {
-        report.fail("window " + std::to_string(window_number) + ": " + v);
-      }
     }
   }
 

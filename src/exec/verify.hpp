@@ -1,31 +1,39 @@
 // Post-run verification of the multicore engine by the paper's checkers.
 //
 // The committed logs merge deterministically by (epoch, tid) and replay
-// into protocols::ExecutionRecorder histories, so the SAME machinery
-// that audits the simulated protocols judges the real-thread engine:
+// into protocols::ExecutionRecorder histories, so the SAME verdict that
+// judges the simulated protocols judges the real-thread engine:
 // core::check_history (well-formedness, value coherence, and the
 // Theorem-7 fast check of m-linearizability with the commit tids as ~ww
-// ranks), then the P5.x audit over the Figure-6 trace (~rf ∪ ~t ∪ ~ww).
+// ranks). On top of it, verification checks the contract the engine's
+// proof rests on (docs/exec-engine.md), each in one pass over the whole
+// merged order:
 //
-// Scaling: the checkers' dense relations are quadratic in history size
-// (the P5.x audit worse), so a 100k-op run is replayed in WINDOWS of
-// `options.window` m-operations. Every window after the first starts
-// with a synthetic snapshot m-operation (process id = num workers) that
-// writes every object the value it had at the window cut, with ww_seq
-// below every real tid and invoke/response before every real stamp —
-// exactly the paper's imaginary initializing write, re-issued per
-// window. Reads from pre-window writers resolve to the snapshot.
+//   (a) tid order refines real time: no m-operation responds before one
+//       with a smaller tid is invoked (a suffix-min sweep of responses);
+//   (b) every reads-from edge runs forward in tid, which (c) implies;
+//   (c) the replay invariant — every external read names the LATEST
+//       committed writer of its object at that point of the merged order
+//       (the OCC validation invariant: a lost update breaks it even when
+//       both halves of the anomaly land in different windows) — and the
+//       replayed final state equals the store's.
 //
-// Why per-window verdicts compose: commit-tid order refines real time
-// (a response stamp is drawn after its tid, an invoke stamp before —
-// engine.hpp), so every real-time edge crosses window cuts forward and
-// admissibility of each window in tid order implies no cross-window
-// witness exists. The replay additionally checks the cross-window glue
-// directly: every external read must name the LATEST committed writer
-// of its object at that point of the merged order (the OCC validation
-// invariant — a lost update breaks it even when both halves of the
-// anomaly land in different windows), and the replayed final state must
-// equal the store's.
+// Take ts(α) as the per-object committed write counts up to α in tid
+// order: (a)–(c) imply every P5.x property on those timestamps, and (a)
+// is global, so a real-time inversion across a window cut is caught too.
+//
+// Scaling: check_history runs in WINDOWS of `options.window`
+// m-operations, because each window is one History of about 0.7 KB per
+// m-operation. Every window after the first starts with a synthetic
+// snapshot m-operation (process id = num workers) that writes every
+// object the value it had at the window cut, with ww_seq below every
+// real tid and invoke/response before every real stamp — exactly the
+// paper's imaginary initializing write, re-issued per window. Reads from
+// pre-window writers resolve to the snapshot. Per-window verdicts
+// compose because commit-tid order refines real time — (a) — so every
+// real-time edge crosses window cuts forward, and admissibility of each
+// window in tid order leaves no cross-window witness to find; (c) checks
+// the cross-window reads-from glue directly.
 #pragma once
 
 #include <cstddef>
@@ -39,11 +47,14 @@
 namespace mocc::exec {
 
 struct VerifyOptions {
-  /// M-operations per replay window. The P5.x audit is the binding cost:
-  /// O(window² · objects) timestamp comparisons per window.
+  /// M-operations per replay window: each window's History is checked,
+  /// then freed, so the window bounds verification memory. Every window
+  /// after the first also replays a snapshot m-operation writing every
+  /// object, so with many objects larger windows verify faster.
   std::size_t window = 512;
-  /// Run the P5.x audit per window (the fast check, value coherence, and
-  /// the replay invariants always run).
+  /// Check contract (a), tid order refines real time, over the whole
+  /// merged order (the fast check, value coherence, and the replay
+  /// invariants always run).
   bool run_audit = true;
 };
 

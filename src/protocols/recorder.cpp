@@ -1,6 +1,5 @@
 #include "protocols/recorder.hpp"
 
-#include "core/relations.hpp"
 #include "util/assert.hpp"
 
 namespace mocc::protocols {
@@ -77,31 +76,23 @@ core::WwRanks ExecutionRecorder::ww_ranks() const {
   return ranks;
 }
 
+std::vector<util::VersionVector> ExecutionRecorder::timestamps() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<util::VersionVector> timestamps;
+  timestamps.reserve(records_.size());
+  for (const auto& record : records_) {
+    timestamps.push_back(record.timestamp.empty() ? util::VersionVector(num_objects_)
+                                                  : record.timestamp);
+  }
+  return timestamps;
+}
+
 core::ProtocolTrace ExecutionRecorder::build_trace(const core::History& h,
                                                    bool include_process_order) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  MOCC_ASSERT(h.size() == records_.size());
-  core::ProtocolTrace trace;
-  trace.sync_order = core::reads_from_order(h);
-  if (include_process_order) {
-    trace.sync_order.merge(core::process_order(h));  // Figure 4: ~P ∪ ~rf ∪ ~ww
-  } else {
-    trace.sync_order.merge(core::real_time_order(h));  // Figure 6: ~rf ∪ ~t ∪ ~ww
-  }
-  core::WwRanks ranks;
-  ranks.reserve(records_.size());
-  trace.timestamps.reserve(records_.size());
-  trace.is_update.reserve(records_.size());
-  for (const auto& record : records_) {
-    util::VersionVector ts = record.timestamp;
-    if (ts.empty()) ts = util::VersionVector(num_objects_);
-    trace.timestamps.push_back(std::move(ts));
-    // Broadcast position present <=> conservatively an update.
-    trace.is_update.push_back(record.ww_seq.has_value());
-    ranks.push_back(record.ww_seq);
-  }
-  trace.sync_order.merge(core::ww_order(ranks));
-  return trace;
+  return core::protocol_trace(h,
+                              include_process_order ? core::Condition::kMSequentialConsistency
+                                                    : core::Condition::kMLinearizability,
+                              ww_ranks(), timestamps());
 }
 
 }  // namespace mocc::protocols

@@ -71,7 +71,8 @@ class ExecutionRecorder {
   /// invocation is still outstanding (drivers drain before building).
   core::History build_history() const MOCC_EXCLUDES(mu_);
 
-  /// Builds the audit trace. `include_process_order` selects the Figure-4
+  /// Builds the dense audit's trace (core::audit_protocol_execution, the
+  /// test oracle). `include_process_order` selects the Figure-4
   /// definition of ~>H− (D5.3: ~P ∪ ~rf ∪ ~ww) versus Figure-6's
   /// (D5.8: ~rf ∪ ~t ∪ ~ww).
   core::ProtocolTrace build_trace(const core::History& h,
@@ -81,6 +82,10 @@ class ExecutionRecorder {
   /// the ~ww ranks a Theorem-7 check needs on top of the condition's
   /// base order.
   core::WwRanks ww_ranks() const MOCC_EXCLUDES(mu_);
+
+  /// Each m-operation's ts(α), all zeros where the protocol records none:
+  /// with ww_ranks(), what core::sparse_audit needs beside the history.
+  std::vector<util::VersionVector> timestamps() const MOCC_EXCLUDES(mu_);
 
  private:
   bool all_completed_locked() const MOCC_REQUIRES(mu_);

@@ -356,6 +356,14 @@ History stale_read() {
   return h;
 }
 
+/// w(x)1 completes, then a read returns x's initial value.
+History overwritten_init_read() {
+  History h(2, 1);
+  h.add(mop(0, {Operation::write(0, 1)}, 1, 2));
+  h.add(mop(1, {Operation::read(0, 0, kInitialMOp)}, 3, 4));
+  return h;
+}
+
 struct ContractRow {
   const char* name;
   History history;
@@ -379,6 +387,10 @@ TEST(CheckHistory, ContractTable) {
       {"ranked and illegal", racing_writes_then_read(),
        WwRanks{1, 0, std::nullopt}, 1000, Outcome::kViolation,
        "Theorem 7 fast check: m2 reads x0 from m1, but m0 writes x0"},
+      // The read names the initial write, which the detail calls "init".
+      {"ranked, reads an overwritten init", overwritten_init_read(),
+       WwRanks{0, std::nullopt}, 1000, Outcome::kViolation,
+       "Theorem 7 fast check: m1 reads x0 from init, but m0 writes x0 and init ~> m0 ~> m1"},
       {"duplicate rank", racing_writes_then_read(), WwRanks{4, 4, std::nullopt},
        1000, Outcome::kViolation, "two m-operations claim ww rank 4"},
       {"unranked and inadmissible", stale_read(), WwRanks(3), 1000,

@@ -331,6 +331,71 @@ TEST(ExecVerifyTest, FinalStateMismatchIsRejected) {
   EXPECT_FALSE(report.ok);
 }
 
+bool mentions(const VerifyReport& report, const std::string& needle) {
+  return std::any_of(
+      report.violations.begin(), report.violations.end(),
+      [&needle](const std::string& v) { return v.find(needle) != std::string::npos; });
+}
+
+// Contract (a) across a window cut: tid 3 writes x0 and responds at 6,
+// before tid 2 is invoked at 20, yet tid 2 reads x0's initial value. With
+// two m-operations per window the stale read and its overwriter land in
+// different windows, and each window alone is admissible; the real-time
+// inversion is still caught, at every window size.
+TEST(ExecVerifyTest, RealTimeInversionAcrossAWindowCutIsRejected) {
+  const ExecResult result = hand_built(
+      /*objects=*/2,
+      {{/*worker=*/0, /*tid=*/1, /*invoke=*/1, /*response=*/2,
+        {{core::OpType::kRead, 1, 0, kInitialTid}}},
+       {/*worker=*/0, /*tid=*/2, /*invoke=*/20, /*response=*/21,
+        {{core::OpType::kRead, 0, 0, kInitialTid}}},
+       {/*worker=*/1, /*tid=*/3, /*invoke=*/5, /*response=*/6,
+        {{core::OpType::kWrite, 0, 7, kInitialTid}}}},
+      /*final_values=*/{7, 0});
+  for (const std::size_t window : {std::size_t{2}, std::size_t{512}}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    VerifyOptions options;
+    options.window = window;
+    const VerifyReport report = verify_execution(result, options);
+    EXPECT_FALSE(report.ok);
+    EXPECT_TRUE(mentions(report, "tid 2 is invoked at 20, after tid 3 responded at 6"))
+        << report.to_string();
+  }
+}
+
+// Contract (a) inside one window: two queries of x0's initial value, the
+// smaller tid invoked after the larger responded. The history itself is
+// admissible, so only the contract sees it, and run_audit gates it.
+TEST(ExecVerifyTest, RealTimeInversionWithinAWindowIsRejected) {
+  const ExecResult result = hand_built(
+      /*objects=*/1,
+      {{0, /*tid=*/1, /*invoke=*/10, /*response=*/11, {{core::OpType::kRead, 0, 0, kInitialTid}}},
+       {1, /*tid=*/2, /*invoke=*/1, /*response=*/5, {{core::OpType::kRead, 0, 0, kInitialTid}}}},
+      /*final_values=*/{0});
+  const VerifyReport report = verify_execution(result);
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(mentions(report, "tid order does not refine real time")) << report.to_string();
+  VerifyOptions unchecked;
+  unchecked.run_audit = false;
+  EXPECT_TRUE(verify_execution(result, unchecked).ok);
+}
+
+// Contract (b): a reads-from edge backwards in tid. tid 1 claims the value
+// tid 2 writes; the replay invariant rejects it, since at tid 1 the latest
+// committed writer of x0 is still the initial write.
+TEST(ExecVerifyTest, ReadFromALaterTidIsRejected) {
+  const ExecResult result = hand_built(
+      /*objects=*/1,
+      {{0, /*tid=*/1, /*invoke=*/1, /*response=*/2, {{core::OpType::kRead, 0, 5, /*from_tid=*/2}}},
+       {1, /*tid=*/2, /*invoke=*/3, /*response=*/4, {{core::OpType::kWrite, 0, 5, kInitialTid}}}},
+      /*final_values=*/{5});
+  const VerifyReport report = verify_execution(result);
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(
+      mentions(report, "read of object 0 from tid 2 but the latest committed writer is tid 0"))
+      << report.to_string();
+}
+
 // Every logged m-operation views its own worker's op buffer, in commit
 // order, and no buffer outgrew the reservation the worker made before
 // its thread started (growing would have moved it under earlier views).
