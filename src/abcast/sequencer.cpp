@@ -17,25 +17,25 @@ SequencerAbcast::SequencerAbcast(Options options) : options_(options) {
 
 void SequencerAbcast::broadcast(sim::Context& ctx, std::vector<std::uint8_t> payload) {
   if (ctx.self() == kSequencerNode) {
-    sequence_and_fan_out(ctx, ctx.self(), payload);
+    sequence_and_fan_out(ctx, ctx.self(), std::move(payload));
     return;
   }
   util::ByteWriter out;
   out.put_u32(ctx.self());
   out.put_u64_vector({});  // reserved
-  out.put_string(std::string(payload.begin(), payload.end()));
+  out.put_bytes(payload);
   send(ctx, kSequencerNode, kSubmit, out.take());
 }
 
 void SequencerAbcast::sequence_and_fan_out(sim::Context& ctx, sim::NodeId origin,
-                                           const std::vector<std::uint8_t>& payload) {
+                                           std::vector<std::uint8_t> payload) {
   MOCC_ASSERT(ctx.self() == kSequencerNode);
   if (options_.batch_max > 1) {
     // Group commit: park the submission; positions are assigned to the
     // whole batch at flush time, in this arrival order.
     const bool was_empty = batch_.empty();
     batch_.push_back(
-        BatchItem{origin, payload, ctx.trace_context(), ctx.now()});
+        BatchItem{origin, std::move(payload), ctx.trace_context(), ctx.now()});
     if (batch_.size() >= options_.batch_max) {
       flush_batch(ctx, /*trigger=*/0);
     } else if (was_empty) {
@@ -53,10 +53,10 @@ void SequencerAbcast::sequence_and_fan_out(sim::Context& ctx, sim::NodeId origin
   util::ByteWriter out;
   out.put_u64(wire_seq);
   out.put_u32(origin);
-  out.put_string(std::string(payload.begin(), payload.end()));
+  out.put_bytes(payload);
   send_to_others(ctx, kDeliver, out.bytes());
   // Local delivery without a network hop.
-  accept(ctx, seq, origin, payload, ctx.now());
+  accept(ctx, seq, origin, std::move(payload), ctx.now());
 }
 
 void SequencerAbcast::flush_batch(sim::Context& ctx, std::uint32_t trigger) {
@@ -74,7 +74,7 @@ void SequencerAbcast::flush_batch(sim::Context& ctx, std::uint32_t trigger) {
   out.put_u32(static_cast<std::uint32_t>(batch.size()));
   for (const BatchItem& item : batch) {
     out.put_u32(item.origin);
-    out.put_string(std::string(item.payload.begin(), item.payload.end()));
+    out.put_bytes(item.payload);
   }
   if (auto* sink = ctx.trace_sink()) {
     sink->on_event({obs::TraceEventType::kBatchAssign, ctx.now(), ctx.self(), 0,
@@ -155,18 +155,14 @@ bool SequencerAbcast::on_message(sim::Context& ctx, const sim::Message& message)
     util::ByteReader in(message.payload);
     const sim::NodeId origin = in.get_u32();
     (void)in.get_u64_vector();
-    const std::string payload = in.get_string();
-    sequence_and_fan_out(ctx, origin,
-                         std::vector<std::uint8_t>(payload.begin(), payload.end()));
+    sequence_and_fan_out(ctx, origin, in.get_bytes());
     return true;
   }
   if (message.kind == kDeliver) {
     util::ByteReader in(message.payload);
     const std::uint64_t seq = in.get_u64();
     const sim::NodeId origin = in.get_u32();
-    const std::string payload = in.get_string();
-    accept(ctx, seq, origin,
-           std::vector<std::uint8_t>(payload.begin(), payload.end()), ctx.now());
+    accept(ctx, seq, origin, in.get_bytes(), ctx.now());
     return true;
   }
   if (message.kind == kDeliverBatch) {
@@ -175,10 +171,7 @@ bool SequencerAbcast::on_message(sim::Context& ctx, const sim::Message& message)
     const std::uint32_t count = in.get_u32();
     for (std::uint32_t i = 0; i < count; ++i) {
       const sim::NodeId origin = in.get_u32();
-      const std::string payload = in.get_string();
-      accept(ctx, first + i, origin,
-             std::vector<std::uint8_t>(payload.begin(), payload.end()),
-             ctx.now());
+      accept(ctx, first + i, origin, in.get_bytes(), ctx.now());
     }
     return true;
   }

@@ -70,7 +70,7 @@ class SequencerAbcast final : public AtomicBroadcast {
  private:
   /// Sequencer side: stamp and fan out (or enqueue when batching).
   void sequence_and_fan_out(sim::Context& ctx, sim::NodeId origin,
-                            const std::vector<std::uint8_t>& payload);
+                            std::vector<std::uint8_t> payload);
   /// Group commit: assign the pending batch its position block, fan it
   /// out as one frame, deliver locally. `trigger`: 0=size, 1=age.
   void flush_batch(sim::Context& ctx, std::uint32_t trigger);

@@ -25,6 +25,8 @@ class History {
   /// Appends an m-operation; returns its id. Operations' reads_from
   /// fields must reference already-added m-operations or kInitialMOp.
   MOpId add(MOperation mop);
+  /// Reserves room for `n` m-operations.
+  void reserve(std::size_t n) { mops_.reserve(n); }
 
   std::size_t size() const { return mops_.size(); }
   std::size_t num_processes() const { return num_processes_; }

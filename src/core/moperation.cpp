@@ -1,9 +1,9 @@
 #include "core/moperation.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -18,36 +18,51 @@ MOperation::MOperation(ProcessId process, std::vector<Operation> ops, Time invok
       label_(std::move(label)) {
   MOCC_ASSERT_MSG(invoke_ <= response_, "m-operation responds before it is invoked");
 
-  std::set<ObjectId> all;
-  std::set<ObjectId> read_set;
-  std::set<ObjectId> write_set;
-  std::set<ObjectId> written_so_far;
-  std::map<ObjectId, std::size_t> last_write_pos;
-
+  // Every derived set comes from sorted vectors: an m-op holds a handful
+  // of ops (verify's snapshot holds thousands), and node-based sets cost
+  // an allocation per element.
+  const auto num_writes = static_cast<std::size_t>(std::count_if(
+      ops_.begin(), ops_.end(), [](const Operation& op) { return op.type == OpType::kWrite; }));
+  const std::size_t num_reads = ops_.size() - num_writes;
+  std::vector<std::pair<ObjectId, std::size_t>> writes;  // (object, position)
+  writes.reserve(num_writes);
+  robjects_.reserve(num_reads);
   for (std::size_t i = 0; i < ops_.size(); ++i) {
-    const Operation& op = ops_[i];
-    all.insert(op.object);
-    if (op.type == OpType::kRead) {
-      read_set.insert(op.object);
-      // A read preceded by an own write to the same object is internal:
-      // it must return the own value and imposes no cross-m-op constraint.
-      if (written_so_far.find(op.object) == written_so_far.end()) {
-        external_reads_.push_back(op);
-      }
+    if (ops_[i].type == OpType::kRead) {
+      robjects_.push_back(ops_[i].object);
     } else {
-      write_set.insert(op.object);
-      written_so_far.insert(op.object);
-      last_write_pos[op.object] = i;
+      writes.emplace_back(ops_[i].object, i);
     }
   }
+  std::sort(robjects_.begin(), robjects_.end());
+  robjects_.erase(std::unique(robjects_.begin(), robjects_.end()), robjects_.end());
+  std::sort(writes.begin(), writes.end());
 
-  objects_.assign(all.begin(), all.end());
-  robjects_.assign(read_set.begin(), read_set.end());
-  wobjects_.assign(write_set.begin(), write_set.end());
+  // Final writes in object order (deterministic): each object's last pair.
+  wobjects_.reserve(num_writes);
+  final_writes_.reserve(num_writes);
+  for (std::size_t k = 0; k < writes.size(); ++k) {
+    if (k + 1 == writes.size() || writes[k + 1].first != writes[k].first) {
+      wobjects_.push_back(writes[k].first);
+      final_writes_.push_back(ops_[writes[k].second]);
+    }
+  }
+  objects_.reserve(robjects_.size() + wobjects_.size());
+  std::set_union(robjects_.begin(), robjects_.end(), wobjects_.begin(), wobjects_.end(),
+                 std::back_inserter(objects_));
 
-  // Final writes in object order (deterministic).
-  for (const auto& [object, pos] : last_write_pos) {
-    final_writes_.push_back(ops_[pos]);
+  // A read preceded by an own write to the same object is internal: it
+  // must return the own value and imposes no cross-m-op constraint. The
+  // object's first write is its first pair.
+  external_reads_.reserve(num_reads);
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    const Operation& op = ops_[i];
+    if (op.type != OpType::kRead) continue;
+    const auto first_write = std::lower_bound(
+        writes.begin(), writes.end(), std::make_pair(op.object, std::size_t{0}));
+    const bool internal = first_write != writes.end() &&
+                          first_write->first == op.object && first_write->second < i;
+    if (!internal) external_reads_.push_back(op);
   }
 }
 

@@ -106,7 +106,7 @@ void ReliableLink::flush_queue(sim::Context& ctx, sim::NodeId to,
   out.put_u32(static_cast<std::uint32_t>(queue.items.size()));
   for (const QueuedItem& item : queue.items) {
     out.put_u32(item.kind);
-    out.put_string(std::string(item.payload.begin(), item.payload.end()));
+    out.put_bytes(item.payload);
   }
   std::vector<std::uint8_t> frame = out.take();
   if (auto* sink = ctx.trace_sink()) {
@@ -185,13 +185,13 @@ bool ReliableLink::on_message(sim::Context& ctx, const sim::Message& message) {
     // sender's queue order by construction.
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t inner_kind = reader.get_u32();
-      const std::string payload = reader.get_string();
+      std::vector<std::uint8_t> payload = reader.get_bytes();
       if (deliver_) {
         sim::Message inner;
         inner.from = message.from;
         inner.to = message.to;
         inner.kind = inner_kind;
-        inner.payload.assign(payload.begin(), payload.end());
+        inner.payload = std::move(payload);
         deliver_(ctx, inner);
       }
     }

@@ -17,6 +17,9 @@ std::vector<ObjectId> sorted_unique(std::vector<ObjectId> v) {
 bool contains(const std::vector<ObjectId>& sorted, ObjectId x) {
   return std::binary_search(sorted.begin(), sorted.end(), x);
 }
+
+// op, a, b, c (u8 each), obj, target (u32 each), imm (i64).
+constexpr std::size_t kEncodedInstructionBytes = 4 + 4 + 4 + 8;
 }  // namespace
 
 Program::Program(std::vector<Instruction> code, std::uint8_t num_regs,
@@ -34,22 +37,27 @@ std::string Program::validate() const {
   for (std::size_t pc = 0; pc < code_.size(); ++pc) {
     const Instruction& ins = code_[pc];
     auto reg_ok = [&](std::uint8_t r) { return r < num_regs_; };
-    std::ostringstream err;
-    err << "instruction " << pc << " (" << opcode_name(ins.op) << "): ";
+    // Every decode validates, so a valid program must not pay for the
+    // message: it is formatted only once a check has failed.
+    auto fail = [&](const char* problem) {
+      std::ostringstream err;
+      err << "instruction " << pc << " (" << opcode_name(ins.op) << "): " << problem;
+      return err.str();
+    };
     switch (ins.op) {
       case OpCode::kLoadConst:
-        if (!reg_ok(ins.a)) return err.str() + "bad register";
+        if (!reg_ok(ins.a)) return fail("bad register");
         break;
       case OpCode::kMove:
-        if (!reg_ok(ins.a) || !reg_ok(ins.b)) return err.str() + "bad register";
+        if (!reg_ok(ins.a) || !reg_ok(ins.b)) return fail("bad register");
         break;
       case OpCode::kReadObj:
-        if (!reg_ok(ins.a)) return err.str() + "bad register";
-        if (!contains(may_read_, ins.obj)) return err.str() + "object not in may_read";
+        if (!reg_ok(ins.a)) return fail("bad register");
+        if (!contains(may_read_, ins.obj)) return fail("object not in may_read");
         break;
       case OpCode::kWriteObj:
-        if (!reg_ok(ins.a)) return err.str() + "bad register";
-        if (!contains(may_write_, ins.obj)) return err.str() + "object not in may_write";
+        if (!reg_ok(ins.a)) return fail("bad register");
+        if (!contains(may_write_, ins.obj)) return fail("object not in may_write");
         break;
       case OpCode::kAdd:
       case OpCode::kSub:
@@ -58,22 +66,22 @@ std::string Program::validate() const {
       case OpCode::kCmpLt:
       case OpCode::kCmpLe:
         if (!reg_ok(ins.a) || !reg_ok(ins.b) || !reg_ok(ins.c)) {
-          return err.str() + "bad register";
+          return fail("bad register");
         }
         break;
       case OpCode::kJump:
-        if (ins.target >= code_.size()) return err.str() + "jump target out of range";
+        if (ins.target >= code_.size()) return fail("jump target out of range");
         break;
       case OpCode::kJumpIfZero:
       case OpCode::kJumpIfNonZero:
-        if (!reg_ok(ins.a)) return err.str() + "bad register";
-        if (ins.target >= code_.size()) return err.str() + "jump target out of range";
+        if (!reg_ok(ins.a)) return fail("bad register");
+        if (ins.target >= code_.size()) return fail("jump target out of range");
         break;
       case OpCode::kReturn:
-        if (!reg_ok(ins.a)) return err.str() + "bad register";
+        if (!reg_ok(ins.a)) return fail("bad register");
         break;
       default:
-        return err.str() + "unknown opcode";
+        return fail("unknown opcode");
     }
   }
   // The last instruction must not fall off the end.
@@ -107,6 +115,8 @@ Program Program::decode(util::ByteReader& in) {
   std::vector<ObjectId> may_read = in.get_u32_vector();
   std::vector<ObjectId> may_write = in.get_u32_vector();
   const std::uint32_t count = in.get_u32();
+  // Check the count against the bytes left before reserving for it.
+  MOCC_ASSERT_MSG(count <= in.remaining() / kEncodedInstructionBytes, "message underflow");
   std::vector<Instruction> code;
   code.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -61,6 +61,7 @@ core::History ExecutionRecorder::build_history() const {
   MOCC_ASSERT_MSG(all_completed_locked(),
                   "cannot build history with outstanding invocations");
   core::History h(num_processes_, num_objects_);
+  h.reserve(records_.size());
   for (const auto& record : records_) {
     h.add(core::MOperation(record.process, record.ops, record.invoke, record.response,
                            record.label));

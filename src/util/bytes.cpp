@@ -4,21 +4,34 @@
 
 namespace mocc::util {
 
+namespace {
+// Appends v little-endian in one insert.
+template <typename T>
+void append_le(std::vector<std::uint8_t>& buf, T v) {
+  std::uint8_t raw[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    raw[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  buf.insert(buf.end(), raw, raw + sizeof(T));
+}
+}  // namespace
+
 void ByteWriter::put_u8(std::uint8_t v) { buf_.push_back(v); }
 
-void ByteWriter::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void ByteWriter::put_u32(std::uint32_t v) { append_le(buf_, v); }
 
-void ByteWriter::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void ByteWriter::put_u64(std::uint64_t v) { append_le(buf_, v); }
 
 void ByteWriter::put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
 
 void ByteWriter::put_string(std::string_view s) {
   put_u32(static_cast<std::uint32_t>(s.size()));
   buf_.insert(buf_.end(), s.begin(), s.end());
+}
+
+void ByteWriter::put_bytes(const std::vector<std::uint8_t>& v) {
+  put_u32(static_cast<std::uint32_t>(v.size()));
+  buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
 void ByteWriter::put_u64_vector(const std::vector<std::uint64_t>& v) {
@@ -66,8 +79,17 @@ std::string ByteReader::get_string() {
   return s;
 }
 
+std::vector<std::uint8_t> ByteReader::get_bytes() {
+  const std::uint32_t len = get_u32();
+  MOCC_ASSERT_MSG(len <= remaining(), "message underflow");
+  const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(pos_);
+  pos_ += len;
+  return std::vector<std::uint8_t>(first, first + static_cast<std::ptrdiff_t>(len));
+}
+
 std::vector<std::uint64_t> ByteReader::get_u64_vector() {
   const std::uint32_t len = get_u32();
+  MOCC_ASSERT_MSG(len <= remaining() / 8, "message underflow");
   std::vector<std::uint64_t> v;
   v.reserve(len);
   for (std::uint32_t i = 0; i < len; ++i) v.push_back(get_u64());
@@ -76,6 +98,7 @@ std::vector<std::uint64_t> ByteReader::get_u64_vector() {
 
 std::vector<std::int64_t> ByteReader::get_i64_vector() {
   const std::uint32_t len = get_u32();
+  MOCC_ASSERT_MSG(len <= remaining() / 8, "message underflow");
   std::vector<std::int64_t> v;
   v.reserve(len);
   for (std::uint32_t i = 0; i < len; ++i) v.push_back(get_i64());
@@ -84,6 +107,7 @@ std::vector<std::int64_t> ByteReader::get_i64_vector() {
 
 std::vector<std::uint32_t> ByteReader::get_u32_vector() {
   const std::uint32_t len = get_u32();
+  MOCC_ASSERT_MSG(len <= remaining() / 4, "message underflow");
   std::vector<std::uint32_t> v;
   v.reserve(len);
   for (std::uint32_t i = 0; i < len; ++i) v.push_back(get_u32());

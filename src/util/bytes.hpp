@@ -22,6 +22,8 @@ class ByteWriter {
   void put_u64(std::uint64_t v);
   void put_i64(std::int64_t v);
   void put_string(std::string_view s);
+  /// Same wire form as put_string: a u32 length, then the bytes.
+  void put_bytes(const std::vector<std::uint8_t>& v);
   void put_u64_vector(const std::vector<std::uint64_t>& v);
   void put_i64_vector(const std::vector<std::int64_t>& v);
   void put_u32_vector(const std::vector<std::uint32_t>& v);
@@ -35,7 +37,9 @@ class ByteWriter {
 };
 
 /// Reads values back in the order they were written. Out-of-bounds reads
-/// abort (a malformed message is a bug in this codebase, not input).
+/// abort (a malformed message is a bug in this codebase, not input); a
+/// length prefix is checked against the bytes left before anything is
+/// allocated for it.
 class ByteReader {
  public:
   explicit ByteReader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
@@ -45,6 +49,8 @@ class ByteReader {
   std::uint64_t get_u64();
   std::int64_t get_i64();
   std::string get_string();
+  /// Reads what put_bytes (or put_string) wrote, without a string copy.
+  std::vector<std::uint8_t> get_bytes();
   std::vector<std::uint64_t> get_u64_vector();
   std::vector<std::int64_t> get_i64_vector();
   std::vector<std::uint32_t> get_u32_vector();

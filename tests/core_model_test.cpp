@@ -2,9 +2,15 @@
 // order-relation builders (§2).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+
 #include "core/history.hpp"
 #include "core/moperation.hpp"
 #include "core/relations.hpp"
+#include "util/rng.hpp"
 
 namespace mocc::core {
 namespace {
@@ -65,6 +71,123 @@ TEST(MOperation, FinalWritesKeepLastPerObject) {
   ASSERT_EQ(m.final_writes().size(), 2u);
   EXPECT_EQ(m.final_write_value(0), 2);
   EXPECT_EQ(m.final_write_value(1), 3);
+}
+
+// Reference for MOperation's sorted-vector derivation: the same five
+// vectors read straight off std::set and std::map, in one pass.
+struct DerivedSets {
+  std::vector<ObjectId> objects;
+  std::vector<ObjectId> robjects;
+  std::vector<ObjectId> wobjects;
+  std::vector<Operation> external_reads;
+  std::vector<Operation> final_writes;
+};
+
+DerivedSets reference_derivation(const std::vector<Operation>& ops) {
+  DerivedSets derived;
+  std::set<ObjectId> all;
+  std::set<ObjectId> read_set;
+  std::set<ObjectId> write_set;
+  std::set<ObjectId> written_so_far;
+  std::map<ObjectId, std::size_t> last_write_pos;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Operation& op = ops[i];
+    all.insert(op.object);
+    if (op.type == OpType::kRead) {
+      read_set.insert(op.object);
+      if (written_so_far.find(op.object) == written_so_far.end()) {
+        derived.external_reads.push_back(op);
+      }
+    } else {
+      write_set.insert(op.object);
+      written_so_far.insert(op.object);
+      last_write_pos[op.object] = i;
+    }
+  }
+  derived.objects.assign(all.begin(), all.end());
+  derived.robjects.assign(read_set.begin(), read_set.end());
+  derived.wobjects.assign(write_set.begin(), write_set.end());
+  for (const auto& [object, pos] : last_write_pos) {
+    derived.final_writes.push_back(ops[pos]);
+  }
+  return derived;
+}
+
+std::vector<std::tuple<OpType, ObjectId, Value, MOpId>> fields(
+    const std::vector<Operation>& ops) {
+  std::vector<std::tuple<OpType, ObjectId, Value, MOpId>> out;
+  for (const Operation& op : ops) out.emplace_back(op.type, op.object, op.value, op.reads_from);
+  return out;
+}
+
+void expect_reference_sets(const std::vector<Operation>& ops) {
+  const DerivedSets expected = reference_derivation(ops);
+  const MOperation m = mop(0, ops, 1, 2);
+  EXPECT_EQ(m.objects(), expected.objects);
+  EXPECT_EQ(m.robjects(), expected.robjects);
+  EXPECT_EQ(m.wobjects(), expected.wobjects);
+  EXPECT_EQ(fields(m.external_reads()), fields(expected.external_reads));
+  EXPECT_EQ(fields(m.final_writes()), fields(expected.final_writes));
+}
+
+TEST(MOperationDifferential, DerivedSetsMatchTheSetAndMapReference) {
+  util::Rng rng(20261018);
+  // Shapes the random sequences must have produced, so the comparison
+  // covers each derivation rule.
+  int repeated_object = 0;
+  int read_after_own_write = 0;
+  int write_after_read = 0;
+  int several_writes_to_one_object = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t length = rng.next_below(13);
+    const std::uint64_t num_objects = 1 + rng.next_below(6);
+    std::vector<Operation> ops;
+    std::set<ObjectId> reads;
+    std::map<ObjectId, int> writes;
+    bool repeated = false;
+    for (std::size_t i = 0; i < length; ++i) {
+      const auto object = static_cast<ObjectId>(rng.next_below(num_objects));
+      const Value value = rng.next_in(-5, 5);
+      repeated = repeated || reads.count(object) != 0 || writes.count(object) != 0;
+      if (rng.next_bool(0.5)) {
+        const MOpId from =
+            rng.next_bool(0.3) ? kInitialMOp : static_cast<MOpId>(rng.next_below(50));
+        ops.push_back(Operation::read(object, value, from));
+        if (writes.count(object) != 0) ++read_after_own_write;
+        reads.insert(object);
+      } else {
+        ops.push_back(Operation::write(object, value));
+        if (reads.count(object) != 0) ++write_after_read;
+        if (writes[object]++ == 1) ++several_writes_to_one_object;
+      }
+    }
+    if (repeated) ++repeated_object;
+    expect_reference_sets(ops);
+  }
+  EXPECT_GT(repeated_object, 100);
+  EXPECT_GT(read_after_own_write, 100);
+  EXPECT_GT(write_after_read, 100);
+  EXPECT_GT(several_writes_to_one_object, 100);
+}
+
+// verify's per-window snapshot shape at 4096 objects: 4096 writes (here
+// in a shuffled object order) followed by 4096 reads, all internal.
+TEST(MOperationDifferential, SnapshotSizedMOperationMatchesTheReference) {
+  constexpr std::size_t kObjects = 4096;
+  util::Rng rng(4096);
+  std::vector<Operation> ops;
+  for (const std::size_t x : util::random_permutation(kObjects, rng)) {
+    ops.push_back(Operation::write(static_cast<ObjectId>(x), static_cast<Value>(x)));
+  }
+  for (const std::size_t x : util::random_permutation(kObjects, rng)) {
+    ops.push_back(Operation::read(static_cast<ObjectId>(x), static_cast<Value>(x), 0));
+  }
+  expect_reference_sets(ops);
+  const MOperation m = mop(0, ops, 1, 2);
+  EXPECT_TRUE(m.external_reads().empty());
+  EXPECT_EQ(m.final_writes().size(), kObjects);
+  EXPECT_EQ(m.objects().size(), kObjects);
 }
 
 TEST(MOperationDeath, RespondBeforeInvokeAborts) {

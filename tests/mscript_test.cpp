@@ -73,7 +73,19 @@ TEST(Validate, RejectsReadOutsideFootprint) {
   Instruction ret;
   ret.op = OpCode::kReturn;
   Program p({read, ret}, 1, /*may_read=*/{}, /*may_write=*/{}, "bad");
-  EXPECT_NE(p.validate().find("may_read"), std::string::npos);
+  EXPECT_EQ(p.validate(), "instruction 0 (read): object not in may_read");
+}
+
+TEST(Validate, RejectsWriteOutsideFootprint) {
+  Instruction load;
+  load.op = OpCode::kLoadConst;
+  Instruction write;
+  write.op = OpCode::kWriteObj;
+  write.obj = 3;
+  Instruction ret;
+  ret.op = OpCode::kReturn;
+  Program p({load, write, ret}, 1, /*may_read=*/{}, /*may_write=*/{4}, "bad");
+  EXPECT_EQ(p.validate(), "instruction 1 (write): object not in may_write");
 }
 
 TEST(Validate, RejectsBadRegister) {
@@ -84,7 +96,7 @@ TEST(Validate, RejectsBadRegister) {
   Instruction ret;
   ret.op = OpCode::kReturn;
   Program p({ins, ret}, 1, {}, {}, "bad");
-  EXPECT_NE(p.validate().find("register"), std::string::npos);
+  EXPECT_EQ(p.validate(), "instruction 0 (move): bad register");
 }
 
 TEST(Validate, RejectsJumpOutOfRange) {
@@ -92,19 +104,31 @@ TEST(Validate, RejectsJumpOutOfRange) {
   jmp.op = OpCode::kJump;
   jmp.target = 9;
   Program p({jmp}, 1, {}, {}, "bad");
-  EXPECT_NE(p.validate().find("target"), std::string::npos);
+  EXPECT_EQ(p.validate(), "instruction 0 (jump): jump target out of range");
+}
+
+TEST(Validate, RejectsUnknownOpcode) {
+  Instruction load;
+  load.op = OpCode::kLoadConst;
+  Instruction unknown;
+  unknown.op = static_cast<OpCode>(99);
+  Instruction ret;
+  ret.op = OpCode::kReturn;
+  Program p({load, unknown, ret}, 1, {}, {}, "bad");
+  EXPECT_EQ(p.validate(), "instruction 1 (?): unknown opcode");
 }
 
 TEST(Validate, RejectsFallOffEnd) {
   Instruction ins;
   ins.op = OpCode::kLoadConst;
   Program p({ins}, 1, {}, {}, "bad");
-  EXPECT_NE(p.validate().find("fall off"), std::string::npos);
+  EXPECT_EQ(p.validate(),
+            "program can fall off the end (last instruction must be return or jump)");
 }
 
 TEST(Validate, RejectsEmptyProgram) {
   Program p({}, 1, {}, {}, "bad");
-  EXPECT_FALSE(p.validate().empty());
+  EXPECT_EQ(p.validate(), "empty program");
 }
 
 // ---------------------------------------------------------------- codec
@@ -141,6 +165,21 @@ TEST(Codec, RoundTripAllLibraryPrograms) {
     EXPECT_TRUE(Program::decode(r) == p) << p.name();
   }
 }
+
+#if GTEST_HAS_DEATH_TEST
+// The instruction count is checked against the bytes left (20 per
+// instruction) before the code vector is reserved.
+TEST(CodecDeath, InstructionCountBeyondTheBufferAborts) {
+  util::ByteWriter w;
+  w.put_string("huge");
+  w.put_u8(1);
+  w.put_u32_vector({});
+  w.put_u32_vector({});
+  w.put_u32(0xFFFFFFFFu);
+  util::ByteReader r(w.bytes());
+  EXPECT_DEATH((void)Program::decode(r), "message underflow");
+}
+#endif  // GTEST_HAS_DEATH_TEST
 
 // ------------------------------------------------------------------- vm
 

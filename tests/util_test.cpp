@@ -444,6 +444,13 @@ TEST(Bytes, RoundTripScalars) {
   w.put_u64(0x0123456789ABCDEFULL);
   w.put_i64(-42);
   w.put_string("hello");
+  const std::vector<std::uint8_t> expected{
+      0x07,                                            // u8
+      0xEF, 0xBE, 0xAD, 0xDE,                          // u32
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0xD6, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // i64 -42
+      0x05, 0x00, 0x00, 0x00, 'h', 'e', 'l', 'l', 'o'};  // string
+  EXPECT_EQ(w.bytes(), expected);
   ByteReader r(w.bytes());
   EXPECT_EQ(r.get_u8(), 7);
   EXPECT_EQ(r.get_u32(), 0xDEADBEEFu);
@@ -458,6 +465,17 @@ TEST(Bytes, RoundTripVectors) {
   w.put_u64_vector({1, 2, 3});
   w.put_i64_vector({-1, 0, 1});
   w.put_u32_vector({});
+  const std::vector<std::uint8_t> expected{
+      0x03, 0x00, 0x00, 0x00,                          // u64 count
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x03, 0x00, 0x00, 0x00,                          // i64 count
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00};                         // empty u32 vector
+  EXPECT_EQ(w.bytes(), expected);
   ByteReader r(w.bytes());
   EXPECT_EQ(r.get_u64_vector(), (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(r.get_i64_vector(), (std::vector<std::int64_t>{-1, 0, 1}));
@@ -470,6 +488,41 @@ TEST(Bytes, EmptyString) {
   ByteReader r(w.bytes());
   EXPECT_EQ(r.get_string(), "");
 }
+
+TEST(Bytes, PutBytesWritesPutStringsWireForm) {
+  const std::vector<std::uint8_t> payload{0x00, 0x7F, 0x80, 0xFF, 'x'};
+  ByteWriter as_bytes;
+  as_bytes.put_bytes(payload);
+  as_bytes.put_bytes({});
+  ByteWriter as_string;
+  as_string.put_string(std::string(payload.begin(), payload.end()));
+  as_string.put_string("");
+  EXPECT_EQ(as_bytes.bytes(), as_string.bytes());
+
+  // Either reader takes either writer's form.
+  ByteReader r(as_string.bytes());
+  EXPECT_EQ(r.get_bytes(), payload);
+  EXPECT_TRUE(r.get_bytes().empty());
+  EXPECT_TRUE(r.exhausted());
+  ByteReader s(as_bytes.bytes());
+  EXPECT_EQ(s.get_string(), std::string(payload.begin(), payload.end()));
+}
+
+#if GTEST_HAS_DEATH_TEST
+// A corrupt length prefix must fail the bounds check before anything is
+// reserved for it: 0xFFFFFFFF u64s would otherwise ask for 32 GiB.
+TEST(BytesDeath, LengthPrefixBeyondTheBufferAborts) {
+  ByteWriter w;
+  w.put_u32(0xFFFFFFFFu);
+  w.put_u64(1);
+  const std::vector<std::uint8_t> corrupt = w.bytes();
+  EXPECT_DEATH((void)ByteReader(corrupt).get_u64_vector(), "message underflow");
+  EXPECT_DEATH((void)ByteReader(corrupt).get_i64_vector(), "message underflow");
+  EXPECT_DEATH((void)ByteReader(corrupt).get_u32_vector(), "message underflow");
+  EXPECT_DEATH((void)ByteReader(corrupt).get_bytes(), "message underflow");
+  EXPECT_DEATH((void)ByteReader(corrupt).get_string(), "message underflow");
+}
+#endif  // GTEST_HAS_DEATH_TEST
 
 // ------------------------------------------------------------------ cli
 
