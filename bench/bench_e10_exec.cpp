@@ -14,7 +14,7 @@
 //
 // Counters: exec_committed, exec_abort_validation, exec_abort_lock,
 // exec_abandoned, exec_retries_{n,mean,p99}, exec_abort_rate,
-// exec_tput_mops, verify_ok, verify_windows.
+// exec_tput_mops, verify_ok.
 #include "common.hpp"
 
 #include "exec/verify.hpp"
@@ -47,7 +47,6 @@ void Exec(::benchmark::State& state, std::size_t threads, std::size_t objects,
   }
   set_exec_counters(state, result);
   state.counters["verify_ok"] = verdict.ok ? 1.0 : 0.0;
-  state.counters["verify_windows"] = static_cast<double>(verdict.windows);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * result.stats.committed));
 }
@@ -59,8 +58,8 @@ void register_all() {
     double zipf_skew;
     bool audit;
   };
-  // Audit on the high-contention leg only, as in run_e10: the P5.x pass
-  // is quadratic per window and the low-contention legs abort ~never.
+  // The real-time contract on the high-contention leg only, as in
+  // run_e10: the low-contention legs abort ~never.
   constexpr Leg kLegs[] = {{"low", 4096, 0.0, false}, {"high", 64, 0.9, true}};
   for (const Leg& leg : kLegs) {
     for (const std::size_t threads :

@@ -817,11 +817,12 @@ std::vector<ExperimentRecord> run_e10(const SuiteOptions& options) {
   // shared store, swept over thread count x (object count, skew)
   // contention legs at a fixed total m-operation budget, so every point
   // does the same work and the thread axis reads as scaling. Each
-  // point's merged (epoch, tid) log is re-checked by the admissibility
-  // stack; the verdict lands in the record's audit field. The fast
-  // check + value coherence + replay invariants run everywhere; the
-  // real-time contract check (VerifyOptions::run_audit) runs on the
-  // high-contention legs, where validation aborts actually happen.
+  // point's merged log is replayed in tid order as the witness
+  // (exec::verify_execution); the verdict lands in the record's audit
+  // field. The real-time contract check (VerifyOptions::run_audit) runs
+  // on the high-contention legs, where validation aborts actually
+  // happen, so the low-contention legs are verified m-sequentially
+  // consistent.
   //
   // Smoke mode keeps only the single-thread points: one worker commits
   // first-try in a deterministic order, so the record bytes — with the
@@ -849,9 +850,7 @@ std::vector<ExperimentRecord> run_e10(const SuiteOptions& options) {
     for (const std::size_t threads : thread_counts) {
       exec::ExecConfig config;
       config.threads = threads;
-      // Smoke shrinks the low-contention store so the per-window
-      // snapshot ops (one write per object) stay proportionate to the
-      // 2000-op budget.
+      // Smoke shrinks the store to an eighth, as the golden records it.
       config.objects = options.smoke ? leg.objects / 8 : leg.objects;
       config.mops_per_thread = total_mops / threads;
       config.footprint = 4;

@@ -1,7 +1,7 @@
 // The admissibility verdict on one history: the one checker pipeline
 // behind every entry point (streaming window cuts, audit-from-trace,
-// exec verification windows, mocc-check terminal states, the chaos
-// post-hoc pass). Steps, in order, stopping at the first that decides:
+// mocc-check terminal states, the chaos post-hoc pass). Steps, in
+// order, stopping at the first that decides:
 //
 //   1. well-formedness (§2.2);
 //   2. value coherence (History::value_coherent);

@@ -51,12 +51,15 @@ struct WriteEntry {
 /// mocc-lint's atomics pass checks every site against this table; the
 /// relaxed entries cover the pre-spawn reset in run() and the
 /// trace-timestamp read in emit_abort(), each individually justified.
+/// Each counter has a cache line of its own: every m-operation writes
+/// them three times, and every read, lock and validation loads the
+/// store's vector header, which would otherwise share their line.
 // mocc-atomics: next_tid: rmw=seq_cst store=relaxed
 // mocc-atomics: clock: rmw=seq_cst load=relaxed store=relaxed
 struct Shared {
   ObjectStore store;
-  std::atomic<std::uint64_t> next_tid{kInitialTid + 1};
-  std::atomic<std::uint64_t> clock{0};
+  alignas(kCacheLine) std::atomic<std::uint64_t> next_tid{kInitialTid + 1};
+  alignas(kCacheLine) std::atomic<std::uint64_t> clock{0};
 };
 
 /// The footprint an m-operation draws: at least one object, at most all.
@@ -71,7 +74,9 @@ struct WorkerStats {
   std::uint64_t abandoned = 0;
 };
 
-class Worker {
+/// Cache-line aligned, so one worker's counters and log ends never share
+/// a line with the next worker's random state.
+class alignas(kCacheLine) Worker {
  public:
   /// `log_memory` backs the log and the op buffer. Only this constructor
   /// allocates from it, on the calling thread: the resource is not
@@ -86,22 +91,27 @@ class Worker {
         zipf_(config.objects, config.zipf_skew),
         log_(log_memory),
         op_buffer_(log_memory) {
-    // Everything a worker fills is reserved here, on the calling thread,
-    // for the largest m-operation (an rmw logs footprint reads plus
-    // footprint writes). The commit path then allocates nothing, and no
-    // logged m-operation lands in a worker thread's malloc arena, whose
-    // freed blocks stay resident after the run.
+    // The log and the op buffer are reserved here, on the calling
+    // thread, for the largest m-operation (an rmw logs footprint reads
+    // plus footprint writes), so no logged m-operation lands in a worker
+    // thread's malloc arena, whose freed blocks stay resident after the
+    // run.
     const std::size_t footprint = clamped_footprint(config);
     log_.reserve(config.mops_per_thread);
     op_buffer_.reserve(config.mops_per_thread * 2 * footprint);
+  }
+
+  void operator()() {
+    // The per-attempt scratch is small and rewritten every m-operation.
+    // Reserved here, on the worker's own thread, it lands in that
+    // thread's arena, off the lines of every other worker's scratch.
+    // The commit path then allocates nothing.
+    const std::size_t footprint = clamped_footprint(config_);
     footprint_.reserve(footprint);
     spec_.reserve(2 * footprint);
     ops_.reserve(2 * footprint);
     reads_.reserve(footprint);
     writes_.reserve(footprint);
-  }
-
-  void operator()() {
     for (std::size_t i = 0; i < config_.mops_per_thread; ++i) {
       generate_spec();
       execute_one();
@@ -432,22 +442,28 @@ ExecResult run(const ExecConfig& config, obs::TraceSink* sink) {
 }
 
 std::vector<const CommittedMop*> merge_logs(const ExecResult& result) {
-  std::vector<const CommittedMop*> merged;
+  // Each log ascends in tid, so repeatedly taking the smallest head is a
+  // k-way merge; the lowest log index wins a tie.
+  struct Cursor {
+    const CommittedMop* next;
+    const CommittedMop* end;
+  };
+  std::vector<Cursor> cursors;
   std::size_t total = 0;
-  for (const auto& log : result.logs) total += log.size();
-  merged.reserve(total);
   for (const auto& log : result.logs) {
-    for (const CommittedMop& mop : log) merged.push_back(&mop);
+    total += log.size();
+    if (!log.empty()) cursors.push_back({log.data(), log.data() + log.size()});
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const CommittedMop* a, const CommittedMop* b) {
-              // (epoch, tid); tids are globally unique, so this is a
-              // strict total order and the merge is deterministic.
-              if (epoch_of(a->tid) != epoch_of(b->tid)) {
-                return epoch_of(a->tid) < epoch_of(b->tid);
-              }
-              return a->tid < b->tid;
-            });
+  std::vector<const CommittedMop*> merged;
+  merged.reserve(total);
+  while (!cursors.empty()) {
+    std::size_t min = 0;
+    for (std::size_t k = 1; k < cursors.size(); ++k) {
+      if (cursors[k].next->tid < cursors[min].next->tid) min = k;
+    }
+    merged.push_back(cursors[min].next);
+    if (++cursors[min].next == cursors[min].end) cursors.erase(cursors.begin() + min);
+  }
   return merged;
 }
 

@@ -28,11 +28,10 @@
 // a per-worker op buffer reserved before the thread starts, and the log
 // entry views its slice, so a worker allocates nothing per commit
 // (DESIGN.md §12, docs/exec-engine.md). After the run the logs
-// merge deterministically by (epoch, tid) — epoch = tid >> kEpochShift,
-// the global counter advances it every 2^kEpochShift draws — and feed
-// the protocols::ExecutionRecorder, so the committed history is checked
-// by the SAME verdict (value coherence and the Theorem-7 fast check) as
-// the simulated protocols (verify.hpp).
+// merge deterministically into tid order — equivalently (epoch, tid),
+// epoch = tid >> kEpochShift, the global counter advances it every
+// 2^kEpochShift draws — and verification replays that order once as the
+// witness of m-linearizability (verify.hpp).
 //
 // The invoke/response stamps come from a second global counter (the
 // logical clock), drawn before the first read and after the last
@@ -43,7 +42,7 @@
 // history m-linearizable, not merely m-sequentially consistent. That
 // refinement, forward reads-from edges, and reads of the latest
 // committed writer are the engine's contract, which verification checks
-// in linear time instead of a P5.x audit (verify.hpp).
+// in linear time (verify.hpp).
 #pragma once
 
 #include <cstdint>
@@ -61,9 +60,8 @@
 namespace mocc::exec {
 
 /// Commits per epoch: the global counter advances the epoch every
-/// 2^kEpochShift tid draws. Epochs bound the deterministic merge's sort
-/// keys and give logs a coarse lifetime structure; (epoch, tid) and tid
-/// induce the same total order.
+/// 2^kEpochShift tid draws. Epochs give logs a coarse lifetime
+/// structure; (epoch, tid) and tid induce the same total order.
 inline constexpr unsigned kEpochShift = 12;
 
 constexpr std::uint64_t epoch_of(std::uint64_t tid) { return tid >> kEpochShift; }
@@ -174,9 +172,11 @@ struct ExecResult {
 /// same overhead policy as the simulator's instrumentation).
 ExecResult run(const ExecConfig& config, obs::TraceSink* sink = nullptr);
 
-/// Deterministic merge: pointers into `result.logs` sorted by
-/// (epoch, tid). A pure function of the logs — any run's logs merge to
-/// the same sequence regardless of which thread produced which entry.
+/// Deterministic merge: pointers into `result.logs` in tid order, which
+/// is also (epoch, tid) order. A k-way merge of the logs, each of which
+/// exec::run produces ascending in tid: a log out of tid order comes out
+/// unsorted, and verify_execution rejects it ("not strictly
+/// ascending"). A pure function of the logs.
 std::vector<const CommittedMop*> merge_logs(const ExecResult& result);
 
 }  // namespace mocc::exec

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -39,6 +40,11 @@ static_assert(!mocc::sim::wire::has_component("exec"),
               "(mocc-lint wire-kind + debug is_registered assert)");
 
 namespace mocc::exec {
+
+/// The cache-line size the engine pads to: each store slot, each shared
+/// counter and each worker gets lines of its own, so one core's writes
+/// never invalidate data another core is using.
+inline constexpr std::size_t kCacheLine = 64;
 
 /// Commit tid of the initializing write every object starts with.
 inline constexpr std::uint64_t kInitialTid = 0;
@@ -107,10 +113,10 @@ class ObjectStore {
     std::atomic<core::Value> value;
     // Version words and values are false-sharing-prone under contention;
     // pad each slot to its own cache line.
-    char pad[64 - sizeof(std::atomic<std::uint64_t>) -
+    char pad[kCacheLine - sizeof(std::atomic<std::uint64_t>) -
              sizeof(std::atomic<core::Value>)];
   };
-  static_assert(sizeof(Slot) == 64, "one slot per cache line");
+  static_assert(sizeof(Slot) == kCacheLine, "one slot per cache line");
 
   std::vector<Slot> slots_;
 };

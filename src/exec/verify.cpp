@@ -1,14 +1,7 @@
 #include "exec/verify.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
-
-#include "core/history.hpp"
-#include "core/verdict.hpp"
-#include "protocols/recorder.hpp"
-#include "util/assert.hpp"
-#include "util/timestamp.hpp"
 
 namespace mocc::exec {
 
@@ -19,8 +12,7 @@ void VerifyReport::fail(std::string message) {
 
 std::string VerifyReport::to_string() const {
   std::ostringstream out;
-  out << (ok ? "OK" : "FAIL") << " (" << mops << " m-ops, " << windows
-      << " windows";
+  out << (ok ? "OK" : "FAIL") << " (" << mops << " m-ops";
   if (!ok) out << ", " << violations.size() << " violations";
   out << ")";
   for (const std::string& v : violations) out << "\n  " << v;
@@ -28,16 +20,6 @@ std::string VerifyReport::to_string() const {
 }
 
 namespace {
-
-/// Replay state carried across windows: per object, the tid and value of
-/// its latest committed writer.
-struct ReplayState {
-  std::vector<std::uint64_t> last_tid;
-  std::vector<core::Value> last_value;
-
-  ReplayState(std::size_t objects, core::Value initial_value)
-      : last_tid(objects, kInitialTid), last_value(objects, initial_value) {}
-};
 
 /// Contract (a): tid order refines real time, so no m-operation responds
 /// before an m-operation with a smaller tid is invoked. Walking the merged
@@ -63,35 +45,31 @@ void check_tid_order_refines_real_time(const std::vector<const CommittedMop*>& m
               ": tid order does not refine real time");
 }
 
-/// tid → window-local MOpId for committed updates already replayed in
-/// the current window (kept sorted; merged order is ascending tid).
-class TidIndex {
- public:
-  void add(std::uint64_t tid, core::MOpId id) { entries_.push_back({tid, id}); }
-  const core::MOpId* find(std::uint64_t tid) const {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), tid,
-        [](const Entry& e, std::uint64_t t) { return e.tid < t; });
-    if (it == entries_.end() || it->tid != tid) return nullptr;
-    return &it->id;
+/// Well-formedness in tid order: `mop` is invoked no later than it
+/// responds, and no earlier than its worker's previous m-operation (the
+/// one before it in tid order) responded. Ties pass, as in
+/// core::History::well_formed.
+void check_worker_order(const CommittedMop& mop, const CommittedMop* previous,
+                        VerifyReport& report) {
+  if (mop.invoke > mop.response) {
+    report.fail("tid " + std::to_string(mop.tid) + " is invoked at " +
+                std::to_string(mop.invoke) + ", after it responds at " +
+                std::to_string(mop.response));
   }
-  void clear() { entries_.clear(); }
-
- private:
-  struct Entry {
-    std::uint64_t tid;
-    core::MOpId id;
-  };
-  std::vector<Entry> entries_;
-};
+  if (previous != nullptr && previous->response > mop.invoke) {
+    report.fail("worker " + std::to_string(mop.worker) + ": tid " +
+                std::to_string(previous->tid) + " responds at " +
+                std::to_string(previous->response) + ", after tid " + std::to_string(mop.tid) +
+                " is invoked at " + std::to_string(mop.invoke));
+  }
+}
 
 }  // namespace
 
-VerifyReport verify_execution(const ExecResult& result,
-                              const VerifyOptions& options) {
+VerifyReport verify_execution(const ExecResult& result, const VerifyOptions& options) {
   VerifyReport report;
   const std::size_t objects = result.config.objects;
-  const auto workers = static_cast<core::ProcessId>(result.config.threads);
+  const std::size_t workers = result.config.threads;
   const std::vector<const CommittedMop*> merged = merge_logs(result);
   report.mops = merged.size();
 
@@ -99,123 +77,83 @@ VerifyReport verify_execution(const ExecResult& result,
     report.fail("stats.committed (" + std::to_string(result.stats.committed) +
                 ") != merged log size (" + std::to_string(merged.size()) + ")");
   }
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    if (merged[i - 1]->tid >= merged[i]->tid) {
+  // Tids ascend strictly, from above the initial write's.
+  std::uint64_t last = kInitialTid;
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    if (merged[i]->tid <= last) {
       report.fail("merged order not strictly ascending in tid at index " +
                   std::to_string(i));
       return report;
     }
+    last = merged[i]->tid;
   }
 
   if (options.run_audit) check_tid_order_refines_real_time(merged, report);
 
-  ReplayState state(objects, result.config.initial_value);
-  const std::size_t window = std::max<std::size_t>(options.window, 2);
-  TidIndex index;
-
-  for (std::size_t begin = 0; begin < merged.size(); begin += window) {
-    const std::size_t end = std::min(begin + window, merged.size());
-    const std::size_t window_number = report.windows++;
-    auto where = [&](const CommittedMop& mop) {
-      return "window " + std::to_string(window_number) + ", tid " +
-             std::to_string(mop.tid);
-    };
-
-    // One extra process for the per-window snapshot writer.
-    protocols::ExecutionRecorder recorder(workers + 1, objects);
-    index.clear();
-    core::MOpId snapshot_id = core::kInitialMOp;
-    if (begin > 0) {
-      snapshot_id = recorder.begin(workers, "snapshot", 0);
-      std::vector<core::Operation> snapshot_ops;
-      snapshot_ops.reserve(objects);
-      for (std::size_t x = 0; x < objects; ++x) {
-        snapshot_ops.push_back(core::Operation::write(
-            static_cast<core::ObjectId>(x), state.last_value[x]));
-      }
-      recorder.complete(snapshot_id, std::move(snapshot_ops), 1, util::VersionVector(),
-                        /*ww_seq=*/0);
+  // The replay: per object, the tid and value of its latest write in tid
+  // order. An m-operation's writes land here as it goes, so an object it
+  // has already written carries its own tid, which no other writer has.
+  std::vector<std::uint64_t> last_tid(objects, kInitialTid);
+  std::vector<core::Value> last_value(objects, result.config.initial_value);
+  std::vector<const CommittedMop*> previous(workers, nullptr);
+  for (const CommittedMop* mop : merged) {
+    const auto where = [mop] { return "tid " + std::to_string(mop->tid); };
+    if (mop->worker < workers) {
+      check_worker_order(*mop, previous[mop->worker], report);
+      previous[mop->worker] = mop;
+    } else {
+      report.fail(where() + ": worker " + std::to_string(mop->worker) + " of " +
+                  std::to_string(workers));
     }
-
-    for (std::size_t i = begin; i < end; ++i) {
-      const CommittedMop& mop = *merged[i];
-      // +2 clears the snapshot's stamps (0, 1); the engine's logical
-      // clock preserves relative order, which is all real time needs.
-      const core::MOpId id = recorder.begin(mop.worker, "", mop.invoke + 2);
-      std::vector<core::Operation> ops;
-      ops.reserve(mop.ops.size());
-      for (const LoggedOp& op : mop.ops) {
-        if (op.type == core::OpType::kWrite) {
-          ops.push_back(core::Operation::write(op.object, op.value));
-          continue;
-        }
-        if (op.from_tid == kOwnWriteTid) {
-          // Internal read (own write precedes it in program order);
-          // MOperation excludes it from external_reads, the target is
-          // never consulted.
-          ops.push_back(
-              core::Operation::read(op.object, op.value, core::kInitialMOp));
-          continue;
-        }
-        // The OCC validation invariant: an external read names the
-        // latest committed writer of its object at the reader's
-        // serialization point. This is the cross-window lost-update
-        // detector — it compares against the replay state, not the
-        // window-local history.
-        if (op.from_tid != state.last_tid[op.object]) {
-          report.fail(where(mop) + ": read of object " +
-                      std::to_string(op.object) + " from tid " +
-                      std::to_string(op.from_tid) +
-                      " but the latest committed writer is tid " +
-                      std::to_string(state.last_tid[op.object]));
-        }
-        const core::MOpId* target = index.find(op.from_tid);
-        core::MOpId reads_from;
-        if (target != nullptr) {
-          reads_from = *target;
-        } else if (begin > 0) {
-          reads_from = snapshot_id;  // pre-window writer → snapshot
-        } else {
-          if (op.from_tid != kInitialTid) {
-            report.fail(where(mop) + ": read from unknown tid " +
-                        std::to_string(op.from_tid) + " in the first window");
-          }
-          reads_from = core::kInitialMOp;
-        }
-        ops.push_back(core::Operation::read(op.object, op.value, reads_from));
+    bool writes = false;
+    for (const LoggedOp& op : mop->ops) {
+      const core::ObjectId x = op.object;
+      if (x >= objects) {
+        report.fail(where() + ": object " + std::to_string(x) + " of " +
+                    std::to_string(objects));
+        continue;
       }
-
-      for (const LoggedOp& op : mop.ops) {
-        if (op.type != core::OpType::kWrite) continue;
-        state.last_tid[op.object] = mop.tid;
-        state.last_value[op.object] = op.value;  // last write in PO wins
+      if (op.type == core::OpType::kWrite) {
+        writes = true;
+        last_tid[x] = mop->tid;
+        last_value[x] = op.value;
+        continue;
       }
-      recorder.complete(
-          id, std::move(ops), mop.response + 2, util::VersionVector(),
-          mop.is_update ? std::optional<std::uint64_t>(mop.tid) : std::nullopt);
-      if (mop.is_update) index.add(mop.tid, id);
+      const auto read = [&] { return where() + ": read of object " + std::to_string(x); };
+      const bool after_own_write = last_tid[x] == mop->tid;
+      if (op.from_tid == kOwnWriteTid) {
+        // Internal: served from the m-operation's latest own write of x.
+        if (!after_own_write) {
+          report.fail(read() + " is marked internal, but the m-operation has not written it");
+        } else if (op.value != last_value[x]) {
+          report.fail(read() + " returns " + std::to_string(op.value) +
+                      " but its own latest write is " + std::to_string(last_value[x]));
+        }
+      } else if (after_own_write) {
+        report.fail(read() + " names tid " + std::to_string(op.from_tid) +
+                    " after the m-operation wrote it");
+      } else if (op.from_tid != last_tid[x]) {
+        // External: the OCC validation invariant names the latest
+        // committed writer, and the read returns what it wrote last.
+        report.fail(read() + " from tid " + std::to_string(op.from_tid) +
+                    " but the latest committed writer is tid " + std::to_string(last_tid[x]));
+      } else if (op.value != last_value[x]) {
+        report.fail(read() + " from tid " + std::to_string(op.from_tid) + " returns " +
+                    std::to_string(op.value) + " but that writer left " +
+                    std::to_string(last_value[x]));
+      }
     }
-
-    // Every update carries its tid as its ww rank, so the fast check
-    // decides every window holding an update. A window without one only
-    // reads initial values, which value coherence already checked, so no
-    // exact search is needed (budget 0).
-    const core::History h = recorder.build_history();
-    const core::Verdict verdict =
-        core::check_history(h, core::Condition::kMLinearizability, recorder.ww_ranks(),
-                            /*exact_budget=*/0, result.config.initial_value);
-    if (!verdict.ok()) {
-      report.fail("window " + std::to_string(window_number) + ": " + verdict.detail);
+    if (writes != mop->is_update) {
+      report.fail(where() + (writes ? " writes but is flagged as a query"
+                                    : " writes nothing but is flagged as an update"));
     }
   }
 
   for (std::size_t x = 0; x < objects; ++x) {
-    if (x < result.final_values.size() &&
-        result.final_values[x] != state.last_value[x]) {
+    if (x < result.final_values.size() && result.final_values[x] != last_value[x]) {
       report.fail("final value of object " + std::to_string(x) + " is " +
                   std::to_string(result.final_values[x]) +
-                  " but the merged log replays to " +
-                  std::to_string(state.last_value[x]));
+                  " but the merged log replays to " + std::to_string(last_value[x]));
     }
   }
   return report;

@@ -1,39 +1,38 @@
-// Post-run verification of the multicore engine by the paper's checkers.
+// Post-run verification of the multicore engine: the commit order is
+// the witness.
 //
-// The committed logs merge deterministically by (epoch, tid) and replay
-// into protocols::ExecutionRecorder histories, so the SAME verdict that
-// judges the simulated protocols judges the real-thread engine:
-// core::check_history (well-formedness, value coherence, and the
-// Theorem-7 fast check of m-linearizability with the commit tids as ~ww
-// ranks). On top of it, verification checks the contract the engine's
-// proof rests on (docs/exec-engine.md), each in one pass over the whole
-// merged order:
+// The paper calls a history m-linearizable (§2.3) when some legal
+// sequential history equivalent to it respects ~>H = po ∪ rf ∪ rt. The
+// engine fixes one candidate itself: the commit-tid order
+// (docs/exec-engine.md, "Why tid order is m-linearizable"). So
+// verification searches nothing. It merges the per-worker logs into tid
+// order and replays them once, rejecting unless:
 //
-//   (a) tid order refines real time: no m-operation responds before one
-//       with a smaller tid is invoked (a suffix-min sweep of responses);
-//   (b) every reads-from edge runs forward in tid, which (c) implies;
-//   (c) the replay invariant — every external read names the LATEST
-//       committed writer of its object at that point of the merged order
-//       (the OCC validation invariant: a lost update breaks it even when
-//       both halves of the anomaly land in different windows) — and the
-//       replayed final state equals the store's.
+//   - the merged log holds stats.committed m-operations, tids strictly
+//     ascending from above the initial write's;
+//   - (a) tid order refines real time: no m-operation responds before
+//     one with a smaller tid is invoked (a suffix-min sweep of
+//     responses; VerifyOptions::run_audit);
+//   - each worker's m-operations are well-formed in tid order: invoked
+//     no later than they respond, and no earlier than the worker's
+//     previous one responded (ties pass, as in History::well_formed), so
+//     program order lies inside tid order;
+//   - every read, in program order, is legal at its tid: an internal
+//     read (kOwnWriteTid) follows an own write of its object and returns
+//     the latest one; an external read comes before any own write, names
+//     the latest committed writer of its object — (c), the OCC
+//     validation invariant, which also makes (b) every reads-from edge
+//     run forward in tid — and returns that writer's last write of the
+//     object, or the initial value;
+//   - is_update holds iff the m-operation writes, worker and object ids
+//     are in range, and the replayed final state equals final_values.
 //
-// Take ts(α) as the per-object committed write counts up to α in tid
-// order: (a)–(c) imply every P5.x property on those timestamps, and (a)
-// is global, so a real-time inversion across a window cut is caught too.
-//
-// Scaling: check_history runs in WINDOWS of `options.window`
-// m-operations, because each window is one History of about 0.7 KB per
-// m-operation. Every window after the first starts with a synthetic
-// snapshot m-operation (process id = num workers) that writes every
-// object the value it had at the window cut, with ww_seq below every
-// real tid and invoke/response before every real stamp — exactly the
-// paper's imaginary initializing write, re-issued per window. Reads from
-// pre-window writers resolve to the snapshot. Per-window verdicts
-// compose because commit-tid order refines real time — (a) — so every
-// real-time edge crosses window cuts forward, and admissibility of each
-// window in tid order leaves no cross-window witness to find; (c) checks
-// the cross-window reads-from glue directly.
+// Together these make tid order a legal sequential history equivalent to
+// the merged history that respects po ∪ rf, and rt under run_audit: a
+// witness, so the run is m-linearizable — or m-sequentially consistent,
+// exactly, with run_audit off. The replay is O(m-operations + operations
+// + objects) time and O(objects + workers) memory beyond the merged
+// pointers; no History is built and no checker runs.
 #pragma once
 
 #include <cstddef>
@@ -47,21 +46,19 @@
 namespace mocc::exec {
 
 struct VerifyOptions {
-  /// M-operations per replay window: each window's History is checked,
-  /// then freed, so the window bounds verification memory. Every window
-  /// after the first also replays a snapshot m-operation writing every
-  /// object, so with many objects larger windows verify faster.
+  /// Ignored: the replay is one pass over the whole merged log. Kept for
+  /// callers that still set it.
   std::size_t window = 512;
-  /// Check contract (a), tid order refines real time, over the whole
-  /// merged order (the fast check, value coherence, and the replay
-  /// invariants always run).
+  /// Check contract (a), tid order refines real time, which makes the
+  /// witness m-linearizable rather than only m-sequentially consistent
+  /// (every other check always runs).
   bool run_audit = true;
 };
 
 struct VerifyReport {
   bool ok = true;
   std::size_t mops = 0;     ///< committed m-operations verified
-  std::size_t windows = 0;  ///< replay windows checked
+  std::size_t windows = 1;  ///< always 1 (one pass); kept for callers that read it
   std::vector<std::string> violations;
 
   void fail(std::string message);
@@ -73,8 +70,7 @@ VerifyReport verify_execution(const ExecResult& result,
                               const VerifyOptions& options = {});
 
 /// Auditor options matching this engine's log shape: m-linearizability
-/// (commit-tid order refines real time), the run's initial value, and
-/// the verify default window.
+/// (commit-tid order refines real time) and the run's initial value.
 obs::StreamingAuditorOptions stream_options(const ExecConfig& config);
 
 /// Feeds the merged committed log through `auditor` in (epoch, tid)

@@ -6,8 +6,7 @@
 // hour-long chaos run burns the remaining 58. StreamingAuditor consumes
 // completed m-operations online (as a TraceSink tapped into the
 // simulator's trace path, or fed the exec engine's merged log through
-// exec::stream_execution) and re-runs the full per-window verdict of
-// exec::verify_execution, generalized to the simulated protocols:
+// exec::stream_execution) and judges them as they arrive:
 //
 //   - global checks, exact and windowless: well-formedness (each
 //     process's m-operations respond before the next invokes), value
@@ -28,15 +27,13 @@
 //     or the bounded exact search when no abcast order exists (2PL
 //     runs) — exactly like the post-hoc auditors.
 //
-// Where exec::verify_execution seeds each window with a snapshot
-// m-operation (sound there because commit-tid order refines real time),
-// the simulated protocols allow STALE reads — a query may read a value
-// three updates old — so the snapshot trick does not transfer; carrying
-// the actual pre-window writers with their true times does, at the cost
-// of a bounded writer-retention horizon (kRetainUpdates). Each object's
-// latest writer is pinned outside that horizon, so a read of a cold
-// object's current value always resolves: memory is O(objects +
-// horizon).
+// The simulated protocols allow STALE reads — a query may read a value
+// three updates old — so a window cannot start from a snapshot of the
+// latest values; it carries the actual pre-window writers with their
+// true times instead, at the cost of a bounded writer-retention horizon
+// (kRetainUpdates). Each object's latest writer is pinned outside that
+// horizon, so a read of a cold object's current value always resolves:
+// memory is O(objects + horizon).
 //
 // Verdicts form a one-way lattice: ok < inconclusive < violation. A
 // dropped trace event (ring-buffer overwrite), an evicted writer, an

@@ -171,8 +171,8 @@ TEST(MOperationDifferential, DerivedSetsMatchTheSetAndMapReference) {
   EXPECT_GT(several_writes_to_one_object, 100);
 }
 
-// verify's per-window snapshot shape at 4096 objects: 4096 writes (here
-// in a shuffled object order) followed by 4096 reads, all internal.
+// A snapshot-shaped m-operation at 4096 objects: 4096 writes (here in a
+// shuffled object order) followed by 4096 reads, all internal.
 TEST(MOperationDifferential, SnapshotSizedMOperationMatchesTheReference) {
   constexpr std::size_t kObjects = 4096;
   util::Rng rng(4096);
