@@ -163,7 +163,8 @@ int run_file(const std::string& path) {
       witness.clear();
       for (const auto id : *result.witness) {
         if (!witness.empty()) witness += " ";
-        witness += "m" + std::to_string(id);
+        witness += 'm';  // not "m" + to_string: gcc 12's -Wrestrict misfires
+        witness += std::to_string(id);
       }
     }
     table.add_row({core::condition_name(c),

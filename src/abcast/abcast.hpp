@@ -93,9 +93,9 @@ class AtomicBroadcast {
   }
 
   void send_to_others(sim::Context& ctx, std::uint32_t kind,
-                      const std::vector<std::uint8_t>& payload) {
+                      std::vector<std::uint8_t> payload) {
     if (link_ == nullptr) {
-      ctx.send_to_others(kind, payload);
+      ctx.send_to_others(kind, std::move(payload));
       return;
     }
     for (sim::NodeId to = 0; to < ctx.num_nodes(); ++to) {

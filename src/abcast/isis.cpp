@@ -9,11 +9,11 @@ namespace mocc::abcast {
 void IsisAbcast::broadcast(sim::Context& ctx, std::vector<std::uint8_t> payload) {
   const std::uint64_t msgid = next_msgid_++;
 
-  util::ByteWriter out;
+  util::ByteWriter out(4 + 8 + util::encoded_size(payload));
   out.put_u32(ctx.self());
   out.put_u64(msgid);
   out.put_bytes(payload);
-  send_to_others(ctx, kPropose, out.bytes());
+  send_to_others(ctx, kPropose, out.take());
 
   // Own proposal.
   const Stamp own{++lamport_, ctx.self()};
@@ -35,7 +35,7 @@ void IsisAbcast::handle_propose(sim::Context& ctx, sim::NodeId origin,
   pending_[key] = Pending{std::move(payload), proposal, /*final=*/false,
                           ctx.trace_context(), ctx.now()};
 
-  util::ByteWriter out;
+  util::ByteWriter out(8 + 8 + 4);
   out.put_u64(msgid);
   out.put_u64(proposal.clock);
   out.put_u32(proposal.node);
@@ -59,12 +59,12 @@ void IsisAbcast::handle_proposal(sim::Context& ctx, std::uint64_t msgid,
   if (state.responses < ctx.num_nodes()) return;
 
   const Stamp final_stamp = state.max_proposal;
-  util::ByteWriter out;
+  util::ByteWriter out(4 + 8 + 8 + 4);
   out.put_u32(ctx.self());
   out.put_u64(msgid);
   out.put_u64(final_stamp.clock);
   out.put_u32(final_stamp.node);
-  send_to_others(ctx, kFinal, out.bytes());
+  send_to_others(ctx, kFinal, out.take());
 
   finalize(ctx, {ctx.self(), msgid}, final_stamp);
   collecting_.erase(it);

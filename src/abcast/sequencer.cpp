@@ -20,7 +20,7 @@ void SequencerAbcast::broadcast(sim::Context& ctx, std::vector<std::uint8_t> pay
     sequence_and_fan_out(ctx, ctx.self(), std::move(payload));
     return;
   }
-  util::ByteWriter out;
+  util::ByteWriter out(4 + 4 + util::encoded_size(payload));
   out.put_u32(ctx.self());
   out.put_u64_vector({});  // reserved
   out.put_bytes(payload);
@@ -50,11 +50,11 @@ void SequencerAbcast::sequence_and_fan_out(sim::Context& ctx, sim::NodeId origin
   // first two updates in the opposite order from the sequencer.
   std::uint64_t wire_seq = seq;
   if (options_.mutate_swap_first_two && seq < 2) wire_seq = 1 - seq;
-  util::ByteWriter out;
+  util::ByteWriter out(8 + 4 + util::encoded_size(payload));
   out.put_u64(wire_seq);
   out.put_u32(origin);
   out.put_bytes(payload);
-  send_to_others(ctx, kDeliver, out.bytes());
+  send_to_others(ctx, kDeliver, out.take());
   // Local delivery without a network hop.
   accept(ctx, seq, origin, std::move(payload), ctx.now());
 }
@@ -69,7 +69,9 @@ void SequencerAbcast::flush_batch(sim::Context& ctx, std::uint32_t trigger) {
   const std::uint64_t first = next_seq_to_assign_;
   next_seq_to_assign_ += batch.size();
 
-  util::ByteWriter out;
+  std::size_t frame_bytes = 8 + 4;
+  for (const BatchItem& item : batch) frame_bytes += 4 + util::encoded_size(item.payload);
+  util::ByteWriter out(frame_bytes);
   out.put_u64(first);
   out.put_u32(static_cast<std::uint32_t>(batch.size()));
   for (const BatchItem& item : batch) {
@@ -86,7 +88,7 @@ void SequencerAbcast::flush_batch(sim::Context& ctx, std::uint32_t trigger) {
   // deliveries below restore each item's own context first.
   const obs::SpanContext outer = ctx.trace_context();
   ctx.set_trace_context(batch.front().trace);
-  send_to_others(ctx, kDeliverBatch, out.bytes());
+  send_to_others(ctx, kDeliverBatch, out.take());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ctx.set_trace_context(batch[i].trace);
     accept(ctx, first + i, batch[i].origin, std::move(batch[i].payload),
@@ -108,46 +110,53 @@ bool SequencerAbcast::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
 
 void SequencerAbcast::accept(sim::Context& ctx, std::uint64_t seq, sim::NodeId origin,
                              std::vector<std::uint8_t> payload, sim::SimTime seen_at) {
-  pending_[seq] =
-      PendingDelivery{origin, std::move(payload), ctx.trace_context(), seen_at};
   // Each delivery re-roots the trace context at its abcast_agree span
-  // (first sighting here -> agreed-position delivery); restore between
-  // iterations so gap-fill deliveries keep their own contexts.
+  // (first sighting here -> agreed-position delivery); deliver() restores
+  // it between deliveries so gap-fill deliveries keep their own contexts.
   const obs::SpanContext outer = ctx.trace_context();
+  if (seq == next_seq_to_deliver_) {
+    deliver(ctx, origin, payload, outer, seen_at, outer);
+  } else {
+    pending_[seq] = PendingDelivery{origin, std::move(payload), outer, seen_at};
+  }
   while (true) {
     const auto it = pending_.find(next_seq_to_deliver_);
     if (it == pending_.end()) break;
-    MOCC_ASSERT_MSG(deliver_ != nullptr, "deliver callback not wired");
-    // Copy out before erasing: the callback may broadcast, mutating
+    // Move out before erasing: the callback may broadcast, mutating
     // pending_ through nested sequencing on this node.
-    const sim::NodeId msg_origin = it->second.origin;
-    const std::vector<std::uint8_t> msg_payload = std::move(it->second.payload);
-    const obs::SpanContext msg_trace = it->second.trace;
-    const sim::SimTime msg_seen_at = it->second.seen_at;
+    const PendingDelivery next = std::move(it->second);
     pending_.erase(it);
-    const std::uint64_t seq_pos = next_seq_to_deliver_++;
-    if (auto* sink = ctx.trace_sink()) {
-      sink->on_event({obs::TraceEventType::kAbcastSequence, ctx.now(), ctx.self(),
-                      msg_origin, 0, seq_pos, msg_payload.size()});
-      if (msg_trace.valid()) {
-        obs::Span agree;
-        agree.type = obs::SpanType::kAbcastAgree;
-        agree.trace_id = msg_trace.trace_id;
-        agree.span_id = ctx.new_span_id();
-        agree.parent_span = msg_trace.span_id;
-        agree.begin = msg_seen_at;
-        agree.end = ctx.now();
-        agree.node = ctx.self();
-        agree.peer = msg_origin;
-        agree.id = seq_pos;
-        agree.arg = msg_payload.size();
-        sink->on_span(agree);
-        ctx.set_trace_context(obs::SpanContext{agree.trace_id, agree.span_id});
-      }
-    }
-    deliver_(ctx, msg_origin, msg_payload);
-    ctx.set_trace_context(outer);
+    deliver(ctx, next.origin, next.payload, next.trace, next.seen_at, outer);
   }
+}
+
+void SequencerAbcast::deliver(sim::Context& ctx, sim::NodeId origin,
+                              const std::vector<std::uint8_t>& payload,
+                              obs::SpanContext trace, sim::SimTime seen_at,
+                              obs::SpanContext outer) {
+  MOCC_ASSERT_MSG(deliver_ != nullptr, "deliver callback not wired");
+  const std::uint64_t seq_pos = next_seq_to_deliver_++;
+  if (auto* sink = ctx.trace_sink()) {
+    sink->on_event({obs::TraceEventType::kAbcastSequence, ctx.now(), ctx.self(), origin, 0,
+                    seq_pos, payload.size()});
+    if (trace.valid()) {
+      obs::Span agree;
+      agree.type = obs::SpanType::kAbcastAgree;
+      agree.trace_id = trace.trace_id;
+      agree.span_id = ctx.new_span_id();
+      agree.parent_span = trace.span_id;
+      agree.begin = seen_at;
+      agree.end = ctx.now();
+      agree.node = ctx.self();
+      agree.peer = origin;
+      agree.id = seq_pos;
+      agree.arg = payload.size();
+      sink->on_span(agree);
+      ctx.set_trace_context(obs::SpanContext{agree.trace_id, agree.span_id});
+    }
+  }
+  deliver_(ctx, origin, payload);
+  ctx.set_trace_context(outer);
 }
 
 bool SequencerAbcast::on_message(sim::Context& ctx, const sim::Message& message) {

@@ -80,6 +80,11 @@ class SequencerAbcast final : public AtomicBroadcast {
   /// group-commit wait is agreement latency, not queueing).
   void accept(sim::Context& ctx, std::uint64_t seq, sim::NodeId origin,
               std::vector<std::uint8_t> payload, sim::SimTime seen_at);
+  /// Delivers position next_seq_to_deliver_ (traced from `trace`), then
+  /// restores the context to `outer`.
+  void deliver(sim::Context& ctx, sim::NodeId origin,
+               const std::vector<std::uint8_t>& payload, obs::SpanContext trace,
+               sim::SimTime seen_at, obs::SpanContext outer);
 
   struct PendingDelivery {
     sim::NodeId origin = 0;

@@ -217,7 +217,18 @@ protocols::WorkloadReport System::run_workload(const protocols::WorkloadParams& 
                                  config_.seed + 1);
 }
 
-core::History System::history() const { return recorder_->build_history(); }
+System::Verdict& System::verdict() const {
+  const std::size_t records = recorder_->size();
+  const std::size_t completed = recorder_->completed();
+  if (!verdict_.history || verdict_.records != records || verdict_.completed != completed) {
+    // build_history aborts while invocations are outstanding.
+    verdict_ = Verdict{records, completed, recorder_->build_history(), recorder_->ww_ranks(),
+                       {}};
+  }
+  return verdict_;
+}
+
+core::History System::history() const { return *verdict().history; }
 
 bool System::supports_audit() const {
   return config_.protocol == "mseq" || config_.protocol == "mlin" ||
@@ -226,22 +237,25 @@ bool System::supports_audit() const {
 
 core::AuditReport System::audit() const {
   MOCC_ASSERT_MSG(supports_audit(), "audit requires a §5 protocol (mseq/mlin)");
-  const core::History h = history();
-  return core::sparse_audit(h, claimed_condition(config_.protocol), recorder_->ww_ranks(),
-                            recorder_->timestamps());
+  const Verdict& v = verdict();
+  const core::Condition claimed = claimed_condition(config_.protocol);
+  const std::optional<core::FastCheckResult>& fast = v.fast[static_cast<std::size_t>(claimed)];
+  return core::sparse_audit(*v.history, claimed, v.ww_ranks, recorder_->timestamps(),
+                            fast ? &*fast : nullptr);
 }
 
 core::FastCheckResult System::check_fast(core::Condition condition) const {
   MOCC_ASSERT_MSG(supports_audit(),
                   "fast check needs the recorded ~ww of a §5 protocol");
-  const core::History h = history();
-  return core::sparse_fast_check(h, condition, recorder_->ww_ranks());
+  Verdict& v = verdict();
+  std::optional<core::FastCheckResult>& fast = v.fast[static_cast<std::size_t>(condition)];
+  if (!fast) fast = core::sparse_fast_check(*v.history, condition, v.ww_ranks);
+  return *fast;
 }
 
 core::AdmissibilityResult System::check_exact(
     core::Condition condition, const core::AdmissibilityOptions& options) const {
-  const core::History h = history();
-  return core::check_condition(h, condition, options);
+  return core::check_condition(*verdict().history, condition, options);
 }
 
 const sim::TrafficStats& System::traffic() const { return sim_->traffic(); }

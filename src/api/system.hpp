@@ -24,7 +24,9 @@
 // "aggregate" (single-lock strawman from §1).
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -139,7 +141,16 @@ class System {
   /// Closed-loop workload convenience (drives, runs, reports).
   protocols::WorkloadReport run_workload(const protocols::WorkloadParams& params);
 
-  /// The recorded execution (valid after run() has drained everything).
+  // The verdict methods below share one History per completed run: the
+  // first of them builds it from the recorder, and they rebuild it only
+  // once the recorder has begun or completed m-operations since (a run
+  // continued after a verdict). check_fast memoizes its result per
+  // condition, and audit() reuses the claimed condition's. They fill
+  // that cache even though they are const: a System is confined to one
+  // thread.
+
+  /// The recorded execution (valid after run() has drained everything;
+  /// aborts on outstanding invocations). A copy of the shared History.
   core::History history() const;
 
   /// True for the §5 protocols (mseq / mlin variants) whose timestamped
@@ -147,12 +158,15 @@ class System {
   bool supports_audit() const;
   /// The P5.x audit (core::sparse_audit) of the recorded execution, over
   /// the ~>H− of claimed_condition(protocol): Figure 4's for "mseq",
-  /// Figure 6's otherwise. Requires supports_audit().
+  /// Figure 6's otherwise. Runs no second sparse pass when
+  /// check_fast(claimed_condition(protocol)) already ran on this run.
+  /// Requires supports_audit().
   core::AuditReport audit() const;
 
   /// Theorem-7 polynomial check of the recorded history against a
   /// condition (core::sparse_fast_check, with the recorded ~ww as the
-  /// synchronization order). Requires supports_audit().
+  /// synchronization order), memoized per condition. Requires
+  /// supports_audit().
   core::FastCheckResult check_fast(core::Condition condition) const;
 
   /// Exact (worst-case exponential) check; works for any protocol.
@@ -214,13 +228,25 @@ class System {
   fault::LinkStats link_stats_;  // shared sink of every replica's link
   std::unique_ptr<sim::Simulator> sim_;
   std::vector<protocols::Replica*> replicas_;  // owned by sim_
-  /// Per-process queue serialization for submit().
-  std::vector<sim::SimTime> process_free_hint_;
   struct SubmitQueue;
   std::vector<std::shared_ptr<SubmitQueue>> queues_;
   BacklogSample backlog_;
   obs::Registry* metrics_ = nullptr;
   obs::TimeSeriesWriter* timeseries_ = nullptr;
+
+  /// What the verdict methods share, for the recorder state it was built
+  /// from: the recorder's (size, completed) counts.
+  struct Verdict {
+    std::size_t records = 0;
+    std::size_t completed = 0;
+    std::optional<core::History> history;
+    core::WwRanks ww_ranks;
+    /// check_fast's results, indexed by core::Condition.
+    std::array<std::optional<core::FastCheckResult>, 3> fast;
+  };
+  /// The current Verdict, rebuilt when the recorder moved on.
+  Verdict& verdict() const;
+  mutable Verdict verdict_;
 };
 
 }  // namespace mocc::api

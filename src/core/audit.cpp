@@ -13,8 +13,13 @@
 
 namespace mocc::core {
 
+TimestampView::TimestampView(const std::vector<util::VersionVector>& timestamps) {
+  ts_.reserve(timestamps.size());
+  for (const util::VersionVector& ts : timestamps) ts_.push_back(&ts);
+}
+
 ProtocolTrace protocol_trace(const History& h, Condition condition, const WwRanks& ww_ranks,
-                             std::vector<util::VersionVector> timestamps) {
+                             const TimestampView& timestamps) {
   MOCC_ASSERT_MSG(condition != Condition::kMNormality,
                   "~>H- is Figure 4's (m-SC) or Figure 6's (m-lin)");
   MOCC_ASSERT(ww_ranks.size() == h.size());
@@ -26,7 +31,8 @@ ProtocolTrace protocol_trace(const History& h, Condition condition, const WwRank
     trace.sync_order.merge(real_time_order(h));  // Figure 6: ~rf ∪ ~t ∪ ~ww
   }
   trace.sync_order.merge(ww_order(ww_ranks));
-  trace.timestamps = std::move(timestamps);
+  trace.timestamps.reserve(timestamps.size());
+  for (std::size_t id = 0; id < timestamps.size(); ++id) trace.timestamps.push_back(timestamps[id]);
   // Broadcast position present <=> conservatively an update.
   for (const auto& rank : ww_ranks) trace.is_update.push_back(rank.has_value());
   return trace;
@@ -47,7 +53,7 @@ std::string AuditReport::to_string() const {
 
 namespace {
 
-using Timestamps = std::vector<util::VersionVector>;
+using Timestamps = TimestampView;
 
 constexpr const char* kCyclicSyncOrder = "sync order ~>H- is cyclic";
 
@@ -173,6 +179,7 @@ AuditReport audit_protocol_execution(const History& h, const ProtocolTrace& trac
   MOCC_ASSERT(trace.is_update.size() == n);
 
   const util::BitRelation closed = trace.sync_order.transitive_closure();
+  const Timestamps timestamps(trace.timestamps);
 
   if (!closed.closed_is_irreflexive()) {
     report.fail(kCyclicSyncOrder);
@@ -204,11 +211,11 @@ AuditReport audit_protocol_execution(const History& h, const ProtocolTrace& trac
   // P5.3 / P5.4 on the closed relation.
   for (MOpId b = 0; b < n; ++b) {
     for (MOpId a = 0; a < n; ++a) {
-      if (a != b && closed.has(b, a)) check_timestamp_step(h, trace.timestamps, b, a, report);
+      if (a != b && closed.has(b, a)) check_timestamp_step(h, timestamps, b, a, report);
     }
   }
 
-  check_read_versions(h, trace.timestamps, report);
+  check_read_versions(h, timestamps, report);
 
   // Derived guarantees: Lemma 8 (WW-constraint) and Lemma 9 (legality).
   if (auto violation = find_constraint_violation(h, closed, Constraint::kWW)) {
@@ -222,14 +229,14 @@ AuditReport audit_protocol_execution(const History& h, const ProtocolTrace& trac
 }
 
 AuditReport sparse_audit(const History& h, Condition condition, const WwRanks& ww_ranks,
-                         const Timestamps& timestamps) {
+                         const Timestamps& timestamps, const FastCheckResult* fast) {
   MOCC_ASSERT_MSG(condition != Condition::kMNormality,
                   "~>H- is Figure 4's (m-SC) or Figure 6's (m-lin)");
   const std::size_t n = h.size();
   MOCC_ASSERT(ww_ranks.size() == n);
   MOCC_ASSERT(timestamps.size() == n);
-  for (const util::VersionVector& ts : timestamps) {
-    MOCC_ASSERT_MSG(ts.size() == h.num_objects(), "one timestamp entry per object");
+  for (MOpId id = 0; id < n; ++id) {
+    MOCC_ASSERT_MSG(timestamps[id].size() == h.num_objects(), "one timestamp entry per object");
   }
   AuditReport report;
 
@@ -248,8 +255,12 @@ AuditReport sparse_audit(const History& h, Condition condition, const WwRanks& w
   }
 
   // The cycle check, Lemma 8 and Lemma 9, on ~>H−'s closure.
-  const FastCheckResult fast = sparse_fast_check(h, condition, distinct ? ww_ranks : positions);
-  if (!fast.constraint_holds && fast.detail == kCyclicBaseOrder) {
+  std::optional<FastCheckResult> own;
+  if (!distinct || fast == nullptr) {
+    own = sparse_fast_check(h, condition, distinct ? ww_ranks : positions);
+    fast = &*own;
+  }
+  if (!fast->constraint_holds && fast->detail == kCyclicBaseOrder) {
     report.fail(kCyclicSyncOrder);
     return report;
   }
@@ -315,10 +326,10 @@ AuditReport sparse_audit(const History& h, Condition condition, const WwRanks& w
 
   check_read_versions(h, timestamps, report);
 
-  if (!fast.constraint_holds) {
-    report.fail("Lemma 8 consequence failed: " + fast.detail);
-  } else if (!fast.legal) {
-    report.fail("Lemma 9 consequence failed: " + fast.detail);
+  if (!fast->constraint_holds) {
+    report.fail("Lemma 8 consequence failed: " + fast->detail);
+  } else if (!fast->legal) {
+    report.fail("Lemma 9 consequence failed: " + fast->detail);
   }
   return report;
 }

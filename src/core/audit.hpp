@@ -20,12 +20,29 @@
 #include <string>
 #include <vector>
 
+#include "core/fast_check.hpp"
 #include "core/history.hpp"
 #include "core/relations.hpp"
 #include "util/relation.hpp"
 #include "util/timestamp.hpp"
 
 namespace mocc::core {
+
+/// ts(α) per m-operation, read where it is stored: a vector of them, or
+/// (ExecutionRecorder::timestamps) the recorder's own records, uncopied.
+/// The timestamps must outlive the view.
+class TimestampView {
+ public:
+  TimestampView(const std::vector<util::VersionVector>& timestamps);  // implicit
+  explicit TimestampView(std::vector<const util::VersionVector*> timestamps)
+      : ts_(std::move(timestamps)) {}
+
+  std::size_t size() const { return ts_.size(); }
+  const util::VersionVector& operator[](std::size_t id) const { return *ts_[id]; }
+
+ private:
+  std::vector<const util::VersionVector*> ts_;
+};
 
 /// Everything a protocol execution must expose for the dense audit.
 struct ProtocolTrace {
@@ -46,7 +63,7 @@ struct ProtocolTrace {
 /// reads-from, process order (m-SC) or real time (m-lin), and ~ww from
 /// `ww_ranks`, which also classify the updates.
 ProtocolTrace protocol_trace(const History& h, Condition condition, const WwRanks& ww_ranks,
-                             std::vector<util::VersionVector> timestamps);
+                             const TimestampView& timestamps);
 
 struct AuditReport {
   bool ok = true;
@@ -83,7 +100,13 @@ AuditReport audit_protocol_execution(const History& h, const ProtocolTrace& trac
 /// With distinct ranks and that spacing it rejects exactly when the dense
 /// audit does, and every property it names the dense audit names too:
 /// one message per violating edge rather than per closed pair.
+///
+/// `fast`, when given, is sparse_fast_check(h, condition, ww_ranks) as
+/// the caller already ran it (api::System::check_fast's memo). It stands
+/// in for the audit's own pass when the ranks are distinct; with tied
+/// ranks the audit checks the rank positions itself.
 AuditReport sparse_audit(const History& h, Condition condition, const WwRanks& ww_ranks,
-                         const std::vector<util::VersionVector>& timestamps);
+                         const TimestampView& timestamps,
+                         const FastCheckResult* fast = nullptr);
 
 }  // namespace mocc::core

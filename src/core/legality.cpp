@@ -7,7 +7,10 @@
 namespace mocc::core {
 
 std::string LegalityViolation::to_string() const {
-  const std::string writer = beta == kInitialMOp ? "init" : "m" + std::to_string(beta);
+  // Appended, not `"m" + std::to_string(beta)`: gcc 12's -Wrestrict
+  // misfires on that operator+ in Release builds.
+  std::string writer = beta == kInitialMOp ? "init" : "m";
+  if (beta != kInitialMOp) writer += std::to_string(beta);
   std::ostringstream out;
   out << "m" << alpha << " reads x" << object << " from " << writer;
   if (gamma == beta) {

@@ -13,7 +13,7 @@ constexpr std::size_t kDataHeaderBytes = 12;
 
 std::vector<std::uint8_t> encode_data(std::uint64_t seq, std::uint32_t kind,
                                       const std::vector<std::uint8_t>& payload) {
-  util::ByteWriter writer;
+  util::ByteWriter writer(kDataHeaderBytes + payload.size());
   writer.put_u64(seq);
   writer.put_u32(kind);
   std::vector<std::uint8_t> frame = writer.take();
@@ -101,7 +101,9 @@ void ReliableLink::flush_queue(sim::Context& ctx, sim::NodeId to,
   std::swap(queue, queue_it->second);
 
   const std::uint64_t seq = ++next_seq_[to];
-  util::ByteWriter out;
+  std::size_t frame_bytes = 8 + 4;
+  for (const QueuedItem& item : queue.items) frame_bytes += 4 + util::encoded_size(item.payload);
+  util::ByteWriter out(frame_bytes);
   out.put_u64(seq);
   out.put_u32(static_cast<std::uint32_t>(queue.items.size()));
   for (const QueuedItem& item : queue.items) {
@@ -161,7 +163,7 @@ bool ReliableLink::on_message(sim::Context& ctx, const sim::Message& message) {
     const std::uint64_t seq = reader.get_u64();
     const std::uint32_t count = reader.get_u32();
 
-    util::ByteWriter ack;
+    util::ByteWriter ack(8);
     ack.put_u64(seq);
     ctx.send(message.from, kLinkAck, ack.take());
     bump(&LinkStats::acks_sent);
@@ -205,7 +207,7 @@ bool ReliableLink::on_message(sim::Context& ctx, const sim::Message& message) {
 
   // Ack every data frame, duplicates included: a duplicate usually means
   // the previous ack was lost.
-  util::ByteWriter ack;
+  util::ByteWriter ack(8);
   ack.put_u64(seq);
   ctx.send(message.from, kLinkAck, ack.take());
   bump(&LinkStats::acks_sent);
@@ -230,8 +232,8 @@ bool ReliableLink::on_message(sim::Context& ctx, const sim::Message& message) {
     inner.from = message.from;
     inner.to = message.to;
     inner.kind = inner_kind;
-    inner.payload.assign(message.payload.begin() + kDataHeaderBytes,
-                         message.payload.end());
+    const std::vector<std::uint8_t>& frame = message.payload;
+    inner.payload = std::vector<std::uint8_t>(frame.begin() + kDataHeaderBytes, frame.end());
     deliver_(ctx, inner);
   }
   return true;

@@ -1,5 +1,7 @@
 #include "mscript/builder.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace mocc::mscript {
@@ -129,9 +131,15 @@ Builder& Builder::ret_const(Value v) {
 }
 
 Builder& Builder::label(const std::string& name) {
-  MOCC_ASSERT_MSG(labels_.find(name) == labels_.end(), "duplicate label");
-  labels_[name] = static_cast<std::uint32_t>(code_.size());
+  MOCC_ASSERT_MSG(find_label(name) == labels_.end(), "duplicate label");
+  labels_.emplace_back(name, static_cast<std::uint32_t>(code_.size()));
   return *this;
+}
+
+std::vector<std::pair<std::string, std::uint32_t>>::const_iterator Builder::find_label(
+    const std::string& name) const {
+  return std::find_if(labels_.begin(), labels_.end(),
+                      [&name](const auto& entry) { return entry.first == name; });
 }
 
 Builder& Builder::declare_read(ObjectId obj) {
@@ -146,7 +154,7 @@ Builder& Builder::declare_write(ObjectId obj) {
 
 Program Builder::build() {
   for (const auto& [pc, label] : fixups_) {
-    const auto it = labels_.find(label);
+    const auto it = find_label(label);
     MOCC_ASSERT_MSG(it != labels_.end(), "undefined label");
     MOCC_ASSERT_MSG(it->second < code_.size(), "label points past program end");
     code_[pc].target = it->second;

@@ -6,8 +6,8 @@
 // footprint should be conservative beyond what the code touches).
 #pragma once
 
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mscript/program.hpp"
@@ -16,7 +16,14 @@ namespace mocc::mscript {
 
 class Builder {
  public:
-  explicit Builder(std::string name) : name_(std::move(name)) {}
+  /// Reserves room for a small program (every library program with a
+  /// footprint of up to four objects), so that building one allocates
+  /// each of the Program's vectors once.
+  explicit Builder(std::string name) : name_(std::move(name)) {
+    code_.reserve(16);
+    may_read_.reserve(4);
+    may_write_.reserve(4);
+  }
 
   using Reg = std::uint8_t;
 
@@ -52,9 +59,12 @@ class Builder {
   Program build();
 
  private:
+  std::vector<std::pair<std::string, std::uint32_t>>::const_iterator find_label(
+      const std::string& name) const;
+
   std::string name_;
   std::vector<Instruction> code_;
-  std::map<std::string, std::uint32_t> labels_;
+  std::vector<std::pair<std::string, std::uint32_t>> labels_;
   std::vector<std::pair<std::size_t, std::string>> fixups_;  // (pc, label)
   std::vector<ObjectId> may_read_;
   std::vector<ObjectId> may_write_;

@@ -8,10 +8,9 @@
 namespace mocc::mscript {
 
 namespace {
-std::vector<ObjectId> sorted_unique(std::vector<ObjectId> v) {
+void sort_unique(std::vector<ObjectId>& v) {
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
-  return v;
 }
 
 bool contains(const std::vector<ObjectId>& sorted, ObjectId x) {
@@ -27,9 +26,12 @@ Program::Program(std::vector<Instruction> code, std::uint8_t num_regs,
                  std::string name)
     : code_(std::move(code)),
       num_regs_(num_regs),
-      may_read_(sorted_unique(std::move(may_read))),
-      may_write_(sorted_unique(std::move(may_write))),
-      name_(std::move(name)) {}
+      may_read_(std::move(may_read)),
+      may_write_(std::move(may_write)),
+      name_(std::move(name)) {
+  sort_unique(may_read_);
+  sort_unique(may_write_);
+}
 
 std::string Program::validate() const {
   if (code_.empty()) return "empty program";
@@ -92,7 +94,13 @@ std::string Program::validate() const {
   return "";
 }
 
+std::size_t Program::encoded_size() const {
+  return util::encoded_size(name_) + 1 + util::encoded_size(may_read_) +
+         util::encoded_size(may_write_) + 4 + kEncodedInstructionBytes * code_.size();
+}
+
 void Program::encode(util::ByteWriter& out) const {
+  out.reserve(encoded_size());
   out.put_string(name_);
   out.put_u8(num_regs_);
   out.put_u32_vector(may_read_);
@@ -110,15 +118,23 @@ void Program::encode(util::ByteWriter& out) const {
 }
 
 Program Program::decode(util::ByteReader& in) {
-  std::string name = in.get_string();
-  const std::uint8_t num_regs = in.get_u8();
-  std::vector<ObjectId> may_read = in.get_u32_vector();
-  std::vector<ObjectId> may_write = in.get_u32_vector();
+  Program program;
+  decode(in, program);
+  return program;
+}
+
+void Program::decode(util::ByteReader& in, Program& out) {
+  out.name_ = in.get_string();
+  out.num_regs_ = in.get_u8();
+  in.get_u32_vector(out.may_read_);
+  in.get_u32_vector(out.may_write_);
+  sort_unique(out.may_read_);
+  sort_unique(out.may_write_);
   const std::uint32_t count = in.get_u32();
   // Check the count against the bytes left before reserving for it.
   MOCC_ASSERT_MSG(count <= in.remaining() / kEncodedInstructionBytes, "message underflow");
-  std::vector<Instruction> code;
-  code.reserve(count);
+  out.code_.clear();
+  out.code_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     Instruction ins;
     ins.op = static_cast<OpCode>(in.get_u8());
@@ -128,12 +144,9 @@ Program Program::decode(util::ByteReader& in) {
     ins.obj = in.get_u32();
     ins.target = in.get_u32();
     ins.imm = in.get_i64();
-    code.push_back(ins);
+    out.code_.push_back(ins);
   }
-  Program program(std::move(code), num_regs, std::move(may_read),
-                  std::move(may_write), std::move(name));
-  MOCC_ASSERT_MSG(program.validate().empty(), "decoded program failed validation");
-  return program;
+  MOCC_ASSERT_MSG(out.validate().empty(), "decoded program failed validation");
 }
 
 bool Program::operator==(const Program& other) const {

@@ -89,8 +89,13 @@ class Program {
   /// fall off the end. Returns an error description or empty string.
   std::string validate() const;
 
+  /// The bytes encode() writes.
+  std::size_t encoded_size() const;
   void encode(util::ByteWriter& out) const;
   static Program decode(util::ByteReader& in);
+  /// decode() into `out`, reusing its vectors' capacity: a replica that
+  /// decodes every delivered update into one Program stops allocating.
+  static void decode(util::ByteReader& in, Program& out);
 
   bool operator==(const Program& other) const;
 

@@ -1,6 +1,7 @@
 #include "mscript/vm.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/assert.hpp"
 
@@ -27,9 +28,21 @@ std::vector<ObjectId> ExecutionResult::objects_written() const {
 }
 
 ExecutionResult Vm::run(const Program& program, StoreView& store) {
-  MOCC_DEBUG_ASSERT(program.validate().empty());
   ExecutionResult result;
-  std::vector<Value> regs(program.num_regs(), 0);
+  run(program, store, result);
+  return result;
+}
+
+void Vm::run(const Program& program, StoreView& store, ExecutionResult& result) {
+  MOCC_DEBUG_ASSERT(program.validate().empty());
+  result.return_value = 0;
+  result.accesses.clear();
+  // One access per declared object is what straight-line programs make.
+  result.accesses.reserve(program.may_read().size() + program.may_write().size());
+  result.steps = 0;
+  // Register indices are u8, so every program's registers fit here.
+  std::array<Value, 256> regs;
+  std::fill_n(regs.begin(), program.num_regs(), Value{0});
   const auto& code = program.code();
   std::size_t pc = 0;
   for (;;) {
@@ -92,7 +105,7 @@ ExecutionResult Vm::run(const Program& program, StoreView& store) {
         break;
       case OpCode::kReturn:
         result.return_value = regs[ins.a];
-        return result;
+        return;
     }
     ++pc;
   }

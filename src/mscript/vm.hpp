@@ -39,6 +39,20 @@ struct ExecutionResult {
   /// Objects actually read / written (deduplicated, sorted).
   std::vector<ObjectId> objects_read() const;
   std::vector<ObjectId> objects_written() const;
+
+  /// Calls f(x) once per object written, in first-write order, without
+  /// allocating (a replica bumps ts[x] once per written object).
+  template <typename F>
+  void for_each_object_written(F&& f) const {
+    for (std::size_t i = 0; i < accesses.size(); ++i) {
+      if (!accesses[i].is_write) continue;
+      bool first = true;
+      for (std::size_t j = 0; j < i && first; ++j) {
+        first = !(accesses[j].is_write && accesses[j].object == accesses[i].object);
+      }
+      if (first) f(accesses[i].object);
+    }
+  }
 };
 
 class Vm {
@@ -49,6 +63,8 @@ class Vm {
 
   /// Runs `program` against `store`. The program must validate.
   static ExecutionResult run(const Program& program, StoreView& store);
+  /// The same run into `result`, reusing its accesses' capacity.
+  static void run(const Program& program, StoreView& store, ExecutionResult& result);
 };
 
 /// Trivial in-memory store for tests and single-process use.

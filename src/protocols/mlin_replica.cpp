@@ -76,7 +76,7 @@ void MLinReplica::invoke(sim::Context& ctx, mscript::Program program,
 
   if (program.is_update()) {
     // (A1): identical to Figure 4.
-    util::ByteWriter out;
+    util::ByteWriter out(4 + program.encoded_size());
     out.put_u32(id);
     program.encode(out);
     pending_updates_[id] = PendingUpdate{std::move(on_response), invoke_time, root};
@@ -88,7 +88,7 @@ void MLinReplica::invoke(sim::Context& ctx, mscript::Program program,
   const std::uint64_t qid = next_qid_++;
   PendingQuery query;
   query.id = id;
-  query.program = program;
+  query.program = std::move(program);
   query.on_response = std::move(on_response);
   query.invoke = invoke_time;
   query.trace = root;
@@ -108,21 +108,19 @@ void MLinReplica::invoke(sim::Context& ctx, mscript::Program program,
   query.oth_x = my_x_;
   query.othts = myts_;
   query.oth_writer = last_writer_;
-
-  util::ByteWriter out;
-  out.put_u64(qid);
-  if (options_.narrow_replies) {
-    out.put_u32_vector(program.may_read());
-  } else {
-    out.put_u32_vector({});  // empty = whole store
-  }
-  pending_queries_[qid] = std::move(query);
+  const PendingQuery& pending = pending_queries_[qid] = std::move(query);
 
   if (ctx.num_nodes() == 1) {
     finish_query(ctx, qid);
     return;
   }
-  net_send_to_others(ctx, kQuery, out.bytes());
+  const std::vector<std::uint32_t> whole_store;  // an empty footprint
+  const std::vector<std::uint32_t>& footprint =
+      options_.narrow_replies ? pending.program.may_read() : whole_store;
+  util::ByteWriter out(8 + util::encoded_size(footprint));
+  out.put_u64(qid);
+  out.put_u32_vector(footprint);
+  net_send_to_others(ctx, kQuery, out.take());
 }
 
 void MLinReplica::on_deliver(sim::Context& ctx, sim::NodeId origin,
@@ -130,7 +128,8 @@ void MLinReplica::on_deliver(sim::Context& ctx, sim::NodeId origin,
   // (A2): identical to Figure 4.
   util::ByteReader in(payload);
   const core::MOpId id = in.get_u32();
-  const mscript::Program program = mscript::Program::decode(in);
+  mscript::Program& program = delivered_;
+  mscript::Program::decode(in, program);
 
   const std::uint64_t ww_seq = deliveries_++;
 
@@ -142,11 +141,9 @@ void MLinReplica::on_deliver(sim::Context& ctx, sim::NodeId origin,
     return;
   }
 
-  RecordingStore store(my_x_, last_writer_, id);
-  const mscript::ExecutionResult exec = mscript::Vm::run(program, store);
-  for (const mscript::ObjectId x : exec.objects_written()) {
-    myts_.increment(x);
-  }
+  RecordingStore store(my_x_, last_writer_, id, program, origin == ctx.self());
+  mscript::Vm::run(program, store, exec_);
+  exec_.for_each_object_written([this](mscript::ObjectId x) { myts_.increment(x); });
 
   if (origin == ctx.self()) {
     const auto it = pending_updates_.find(id);
@@ -160,7 +157,7 @@ void MLinReplica::on_deliver(sim::Context& ctx, sim::NodeId origin,
     recorder_.complete(id, std::move(ops), response_time, myts_, ww_seq);
     trace_mop(ctx, obs::TraceEventType::kMOpRespond, id, pending.invoke);
     pending.on_response(
-        InvocationOutcome{id, exec.return_value, pending.invoke, response_time});
+        InvocationOutcome{id, exec_.return_value, pending.invoke, response_time});
   }
 }
 
@@ -172,9 +169,12 @@ void MLinReplica::on_query(sim::Context& ctx, const sim::Message& message,
   // round id and the reply goes back as resp_kind = kQueryRespBatch.
   util::ByteReader in(message.payload);
   const std::uint64_t qid = in.get_u64();
-  const std::vector<std::uint32_t> objects = in.get_u32_vector();
+  std::vector<std::uint32_t>& objects = reply_objects_;
+  in.get_u32_vector(objects);
 
-  util::ByteWriter out;
+  const std::size_t copied = objects.empty() ? num_objects_ : objects.size();
+  util::ByteWriter out(8 + util::encoded_size(objects) + util::encoded_size(myts_.entries()) +
+                       4 + 8 * copied + 4 + 4 * copied);
   out.put_u64(qid);
   out.put_u32_vector(objects);
   out.put_u64_vector(myts_.entries());  // full ts always (8B/object)
@@ -182,37 +182,38 @@ void MLinReplica::on_query(sim::Context& ctx, const sim::Message& message,
     out.put_i64_vector(my_x_);
     out.put_u32_vector(last_writer_);
   } else {
-    std::vector<core::Value> values;
-    std::vector<core::MOpId> writers;
-    values.reserve(objects.size());
-    writers.reserve(objects.size());
+    // put_i64_vector / put_u32_vector of the declared objects' entries.
+    out.put_u32(static_cast<std::uint32_t>(objects.size()));
     for (const auto x : objects) {
       MOCC_ASSERT(x < num_objects_);
-      values.push_back(my_x_[x]);
-      writers.push_back(last_writer_[x]);
+      out.put_i64(my_x_[x]);
     }
-    out.put_i64_vector(values);
-    out.put_u32_vector(writers);
+    out.put_u32(static_cast<std::uint32_t>(objects.size()));
+    for (const auto x : objects) out.put_u32(last_writer_[x]);
   }
   net_send(ctx, message.from, resp_kind, out.take());
 }
 
-void MLinReplica::on_query_response(sim::Context& ctx, const sim::Message& message) {
+std::uint64_t MLinReplica::decode_reply(const sim::Message& message) {
   util::ByteReader in(message.payload);
-  const std::uint64_t qid = in.get_u64();
-  const std::vector<std::uint32_t> objects = in.get_u32_vector();
-  auto entries = in.get_u64_vector();
-  MOCC_ASSERT(entries.size() == num_objects_);
-  const util::VersionVector ts = util::VersionVector::from_entries(std::move(entries));
-  const std::vector<core::Value> values = in.get_i64_vector();
-  const std::vector<std::uint32_t> writers = in.get_u32_vector();
+  const std::uint64_t id = in.get_u64();
+  in.get_u32_vector(reply_objects_);
+  in.get_u64_vector(reply_entries_);
+  MOCC_ASSERT(reply_entries_.size() == num_objects_);
+  reply_ts_.assign(reply_entries_);
+  in.get_i64_vector(reply_values_);
+  in.get_u32_vector(reply_writers_);
+  return id;
+}
 
+void MLinReplica::on_query_response(sim::Context& ctx, const sim::Message& message) {
+  const std::uint64_t qid = decode_reply(message);
   const auto it = pending_queries_.find(qid);
   MOCC_ASSERT_MSG(it != pending_queries_.end(), "query response for unknown query");
   PendingQuery& query = it->second;
 
-  merge_reply(query.oth_x, query.othts, query.oth_writer, objects, ts, values,
-              writers, num_objects_);
+  merge_reply(query.oth_x, query.othts, query.oth_writer, reply_objects_, reply_ts_,
+              reply_values_, reply_writers_, num_objects_);
 
   ++query.replies;
   if (query.replies == ctx.num_nodes() - 1) {
@@ -247,7 +248,7 @@ void MLinReplica::start_round(sim::Context& ctx) {
     round_.footprint = std::move(footprint);
   }
 
-  util::ByteWriter out;
+  util::ByteWriter out(8 + util::encoded_size(round_.footprint));
   out.put_u64(round_.id);
   out.put_u32_vector(round_.footprint);
   const std::vector<std::uint8_t> frame = out.take();
@@ -272,19 +273,11 @@ void MLinReplica::start_round(sim::Context& ctx) {
 }
 
 void MLinReplica::on_round_response(sim::Context& ctx, const sim::Message& message) {
-  util::ByteReader in(message.payload);
-  const std::uint64_t round_id = in.get_u64();
-  const std::vector<std::uint32_t> objects = in.get_u32_vector();
-  auto entries = in.get_u64_vector();
-  MOCC_ASSERT(entries.size() == num_objects_);
-  const util::VersionVector ts = util::VersionVector::from_entries(std::move(entries));
-  const std::vector<core::Value> values = in.get_i64_vector();
-  const std::vector<std::uint32_t> writers = in.get_u32_vector();
-
+  const std::uint64_t round_id = decode_reply(message);
   MOCC_ASSERT_MSG(round_active_ && round_id == round_.id,
                   "round response for a round that is not in flight");
-  merge_reply(round_.oth_x, round_.othts, round_.oth_writer, objects, ts, values,
-              writers, num_objects_);
+  merge_reply(round_.oth_x, round_.othts, round_.oth_writer, reply_objects_, reply_ts_,
+              reply_values_, reply_writers_, num_objects_);
 
   ++round_.replies;
   if (round_.replies == ctx.num_nodes() - 1) {
@@ -319,18 +312,18 @@ void MLinReplica::finish_query(sim::Context& ctx, std::uint64_t qid) {
   PendingQuery query = std::move(it->second);
   pending_queries_.erase(it);
 
-  RecordingStore store(query.oth_x, query.oth_writer, query.id);
-  const mscript::ExecutionResult exec = mscript::Vm::run(query.program, store);
-  MOCC_ASSERT_MSG(exec.objects_written().empty(), "query program performed a write");
+  RecordingStore store(query.oth_x, query.oth_writer, query.id, query.program);
+  mscript::Vm::run(query.program, store, exec_);
+  MOCC_ASSERT_MSG(exec_.objects_written().empty(), "query program performed a write");
 
   const core::Time response_time = ctx.now();
   std::vector<core::Operation> ops = store.take_ops();
   trace_mop_span(ctx, query.trace, query.id, query.invoke, false, std::nullopt, ops);
-  recorder_.complete(query.id, std::move(ops), response_time, query.othts,
+  recorder_.complete(query.id, std::move(ops), response_time, std::move(query.othts),
                      std::nullopt);
   trace_mop(ctx, obs::TraceEventType::kMOpRespond, query.id, query.invoke);
   query.on_response(
-      InvocationOutcome{query.id, exec.return_value, query.invoke, response_time});
+      InvocationOutcome{query.id, exec_.return_value, query.invoke, response_time});
 }
 
 void MLinReplica::handle_delivered(sim::Context& ctx, const sim::Message& message) {

@@ -90,6 +90,9 @@ class MLinReplica final : public Replica {
                   const std::vector<std::uint8_t>& payload);
   void on_query(sim::Context& ctx, const sim::Message& message,
                 std::uint32_t resp_kind);
+  /// Decodes a kQueryResp[Batch] into the reply_* buffers; returns its
+  /// qid or round id.
+  std::uint64_t decode_reply(const sim::Message& message);
   void on_query_response(sim::Context& ctx, const sim::Message& message);
   void finish_query(sim::Context& ctx, std::uint64_t qid);
   /// Opens the next query round over every waiting qid (batch_queries).
@@ -110,6 +113,18 @@ class MLinReplica final : public Replica {
   std::uint64_t deliveries_ = 0;
   /// mutate_skip_first_foreign: the one skip has been spent.
   bool mutation_skipped_ = false;
+
+  /// Scratch reused by every delivery, query and reply: the decoded
+  /// update, the last program run, and the decoded request or reply.
+  /// Nothing reads them once a response callback (which may re-enter
+  /// this replica) has been called.
+  mscript::Program delivered_;
+  mscript::ExecutionResult exec_;
+  std::vector<std::uint32_t> reply_objects_;
+  std::vector<std::uint64_t> reply_entries_;
+  util::VersionVector reply_ts_;
+  std::vector<core::Value> reply_values_;
+  std::vector<std::uint32_t> reply_writers_;
 
   struct PendingUpdate {
     ResponseFn on_response;

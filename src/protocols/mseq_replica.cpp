@@ -6,12 +6,18 @@
 namespace mocc::protocols {
 
 RecordingStore::RecordingStore(std::vector<core::Value>& values,
-                               std::vector<core::MOpId>& last_writer, core::MOpId self)
-    : values_(values), last_writer_(last_writer), self_(self) {}
+                               std::vector<core::MOpId>& last_writer, core::MOpId self,
+                               const mscript::Program& program, bool record)
+    : values_(values), last_writer_(last_writer), self_(self), record_(record) {
+  // Library programs access each declared object at most once per kind.
+  if (record_) ops_.reserve(program.may_read().size() + program.may_write().size());
+}
 
 mscript::Value RecordingStore::read(mscript::ObjectId object) {
   MOCC_ASSERT(object < values_.size());
-  ops_.push_back(core::Operation::read(object, values_[object], last_writer_[object]));
+  if (record_) {
+    ops_.push_back(core::Operation::read(object, values_[object], last_writer_[object]));
+  }
   return values_[object];
 }
 
@@ -19,7 +25,7 @@ void RecordingStore::write(mscript::ObjectId object, mscript::Value value) {
   MOCC_ASSERT(object < values_.size());
   values_[object] = value;
   last_writer_[object] = self_;
-  ops_.push_back(core::Operation::write(object, value));
+  if (record_) ops_.push_back(core::Operation::write(object, value));
 }
 
 MSeqReplica::MSeqReplica(std::size_t num_objects,
@@ -56,7 +62,7 @@ void MSeqReplica::invoke(sim::Context& ctx, mscript::Program program,
     // (A1): atomically broadcast the m-operation. In broadcast-queries
     // mode queries take the same path and execute at delivery, pinning
     // them to one point of the total order (m-linearizability).
-    util::ByteWriter out;
+    util::ByteWriter out(4 + program.encoded_size());
     out.put_u32(id);
     program.encode(out);
     pending_[id] = PendingUpdate{std::move(on_response), invoke_time, root};
@@ -65,15 +71,16 @@ void MSeqReplica::invoke(sim::Context& ctx, mscript::Program program,
   }
 
   // (A3): queries execute against the local copy, no messages.
-  RecordingStore store(my_x_, last_writer_, id);
-  const mscript::ExecutionResult exec = mscript::Vm::run(program, store);
-  MOCC_ASSERT_MSG(exec.objects_written().empty(), "query program performed a write");
+  RecordingStore store(my_x_, last_writer_, id, program);
+  mscript::Vm::run(program, store, exec_);
+  MOCC_ASSERT_MSG(exec_.objects_written().empty(), "query program performed a write");
+  const mscript::Value return_value = exec_.return_value;
   const core::Time response_time = ctx.now();
   std::vector<core::Operation> ops = store.take_ops();
   trace_mop_span(ctx, root, id, invoke_time, false, std::nullopt, ops);
   recorder_.complete(id, std::move(ops), response_time, myts_, std::nullopt);
   trace_mop(ctx, obs::TraceEventType::kMOpRespond, id, invoke_time);
-  on_response(InvocationOutcome{id, exec.return_value, invoke_time, response_time});
+  on_response(InvocationOutcome{id, return_value, invoke_time, response_time});
 }
 
 void MSeqReplica::on_deliver(sim::Context& ctx, sim::NodeId origin,
@@ -82,7 +89,8 @@ void MSeqReplica::on_deliver(sim::Context& ctx, sim::NodeId origin,
   // objects written; respond if we are the origin.
   util::ByteReader in(payload);
   const core::MOpId id = in.get_u32();
-  const mscript::Program program = mscript::Program::decode(in);
+  mscript::Program& program = delivered_;
+  mscript::Program::decode(in, program);
 
   // ~ww records the broadcast position of *updates* (queries riding the
   // stream in broadcast-queries mode are ordered by real time alone —
@@ -99,11 +107,9 @@ void MSeqReplica::on_deliver(sim::Context& ctx, sim::NodeId origin,
     return;
   }
 
-  RecordingStore store(my_x_, last_writer_, id);
-  const mscript::ExecutionResult exec = mscript::Vm::run(program, store);
-  for (const mscript::ObjectId x : exec.objects_written()) {
-    myts_.increment(x);
-  }
+  RecordingStore store(my_x_, last_writer_, id, program, origin == ctx.self());
+  mscript::Vm::run(program, store, exec_);
+  exec_.for_each_object_written([this](mscript::ObjectId x) { myts_.increment(x); });
 
   if (origin == ctx.self()) {
     const auto it = pending_.find(id);
@@ -117,7 +123,7 @@ void MSeqReplica::on_deliver(sim::Context& ctx, sim::NodeId origin,
     recorder_.complete(id, std::move(ops), response_time, myts_, ww_seq);
     trace_mop(ctx, obs::TraceEventType::kMOpRespond, id, pending.invoke);
     pending.on_response(
-        InvocationOutcome{id, exec.return_value, pending.invoke, response_time});
+        InvocationOutcome{id, exec_.return_value, pending.invoke, response_time});
   }
 }
 

@@ -78,6 +78,12 @@ class MSeqReplica final : public Replica {
   util::VersionVector myts_;
   std::vector<core::MOpId> last_writer_;
 
+  /// Scratch reused by every delivery: the decoded update and its run.
+  /// Nothing reads them once the response callback (which may re-enter
+  /// this replica) has been called.
+  mscript::Program delivered_;
+  mscript::ExecutionResult exec_;
+
   /// Delivery index of the abcast stream (identical at every replica).
   std::uint64_t deliveries_ = 0;
   /// mutate_skip_first_foreign: the one skip has been spent.

@@ -31,6 +31,7 @@ void ExecutionRecorder::complete(core::MOpId id, std::vector<core::Operation> op
   record.timestamp = std::move(timestamp);
   record.ww_seq = ww_seq;
   record.completed = true;
+  ++completed_;
 }
 
 std::size_t ExecutionRecorder::size() const {
@@ -38,16 +39,14 @@ std::size_t ExecutionRecorder::size() const {
   return records_.size();
 }
 
-bool ExecutionRecorder::all_completed_locked() const {
-  for (const auto& record : records_) {
-    if (!record.completed) return false;
-  }
-  return true;
+std::size_t ExecutionRecorder::completed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return completed_;
 }
 
 bool ExecutionRecorder::all_completed() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return all_completed_locked();
+  return completed_ == records_.size();
 }
 
 const InvocationRecord& ExecutionRecorder::record(core::MOpId id) const {
@@ -58,7 +57,7 @@ const InvocationRecord& ExecutionRecorder::record(core::MOpId id) const {
 
 core::History ExecutionRecorder::build_history() const {
   std::lock_guard<std::mutex> lock(mu_);
-  MOCC_ASSERT_MSG(all_completed_locked(),
+  MOCC_ASSERT_MSG(completed_ == records_.size(),
                   "cannot build history with outstanding invocations");
   core::History h(num_processes_, num_objects_);
   h.reserve(records_.size());
@@ -77,15 +76,15 @@ core::WwRanks ExecutionRecorder::ww_ranks() const {
   return ranks;
 }
 
-std::vector<util::VersionVector> ExecutionRecorder::timestamps() const {
+core::TimestampView ExecutionRecorder::timestamps() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<util::VersionVector> timestamps;
+  std::vector<const util::VersionVector*> timestamps;
   timestamps.reserve(records_.size());
   for (const auto& record : records_) {
-    timestamps.push_back(record.timestamp.empty() ? util::VersionVector(num_objects_)
-                                                  : record.timestamp);
+    if (record.timestamp.empty() && zeros_.empty()) zeros_ = util::VersionVector(num_objects_);
+    timestamps.push_back(record.timestamp.empty() ? &zeros_ : &record.timestamp);
   }
-  return timestamps;
+  return core::TimestampView(std::move(timestamps));
 }
 
 core::ProtocolTrace ExecutionRecorder::build_trace(const core::History& h,

@@ -62,6 +62,9 @@ class ExecutionRecorder {
                 std::optional<std::uint64_t> ww_seq) MOCC_EXCLUDES(mu_);
 
   std::size_t size() const MOCC_EXCLUDES(mu_);
+  /// m-operations completed so far. With size() it changes whenever the
+  /// recorded execution does: api::System keys its verdict cache on both.
+  std::size_t completed() const MOCC_EXCLUDES(mu_);
   bool all_completed() const MOCC_EXCLUDES(mu_);
   /// The returned reference is stable (deque) but its fields must not be
   /// read until the m-operation completed.
@@ -85,15 +88,18 @@ class ExecutionRecorder {
 
   /// Each m-operation's ts(α), all zeros where the protocol records none:
   /// with ww_ranks(), what core::sparse_audit needs beside the history.
-  std::vector<util::VersionVector> timestamps() const MOCC_EXCLUDES(mu_);
+  /// The view reads the records themselves (no copies); it stays valid
+  /// while the recorder lives.
+  core::TimestampView timestamps() const MOCC_EXCLUDES(mu_);
 
  private:
-  bool all_completed_locked() const MOCC_REQUIRES(mu_);
-
   const std::size_t num_processes_;
   const std::size_t num_objects_;
   mutable std::mutex mu_;
   std::deque<InvocationRecord> records_ MOCC_GUARDED_BY(mu_);
+  std::size_t completed_ MOCC_GUARDED_BY(mu_) = 0;
+  /// What timestamps() shows for a record without one; sized on first use.
+  mutable util::VersionVector zeros_ MOCC_GUARDED_BY(mu_);
 };
 
 }  // namespace mocc::protocols

@@ -156,9 +156,9 @@ class Replica : public sim::Actor {
   }
 
   void net_send_to_others(sim::Context& ctx, std::uint32_t kind,
-                          const std::vector<std::uint8_t>& payload) {
+                          std::vector<std::uint8_t> payload) {
     if (link_ == nullptr) {
-      ctx.send_to_others(kind, payload);
+      ctx.send_to_others(kind, std::move(payload));
       return;
     }
     for (sim::NodeId to = 0; to < ctx.num_nodes(); ++to) {
@@ -176,8 +176,11 @@ class Replica : public sim::Actor {
 /// the copy they read, writes update value and last-writer.
 class RecordingStore final : public mscript::StoreView {
  public:
-  RecordingStore(std::vector<core::Value>& values,
-                 std::vector<core::MOpId>& last_writer, core::MOpId self);
+  /// Records the accesses of `program` when `record` is set. A replica
+  /// replaying another process's update passes false: the origin keeps
+  /// that m-operation's record.
+  RecordingStore(std::vector<core::Value>& values, std::vector<core::MOpId>& last_writer,
+                 core::MOpId self, const mscript::Program& program, bool record = true);
 
   mscript::Value read(mscript::ObjectId object) override;
   void write(mscript::ObjectId object, mscript::Value value) override;
@@ -189,6 +192,7 @@ class RecordingStore final : public mscript::StoreView {
   std::vector<core::Value>& values_;
   std::vector<core::MOpId>& last_writer_;
   core::MOpId self_;
+  bool record_;
   std::vector<core::Operation> ops_;
 };
 

@@ -1,7 +1,7 @@
 #include "protocols/workload.hpp"
 
 #include <algorithm>
-#include <set>
+#include <memory>
 
 #include "mscript/library.hpp"
 #include "util/assert.hpp"
@@ -10,15 +10,73 @@ namespace mocc::protocols {
 
 namespace {
 
-/// Distinct objects, Zipf-weighted.
+/// Distinct objects, Zipf-weighted, in ascending order.
 std::vector<mscript::ObjectId> pick_objects(std::size_t count, std::size_t num_objects,
                                             util::Rng& rng, util::ZipfGenerator& zipf) {
   count = std::min(count, num_objects);
-  std::set<mscript::ObjectId> chosen;
+  std::vector<mscript::ObjectId> chosen;
+  chosen.reserve(count);
   while (chosen.size() < count) {
-    chosen.insert(static_cast<mscript::ObjectId>(zipf.next(rng)));
+    const auto x = static_cast<mscript::ObjectId>(zipf.next(rng));
+    const auto at = std::lower_bound(chosen.begin(), chosen.end(), x);
+    if (at == chosen.end() || *at != x) chosen.insert(at, x);
   }
-  return {chosen.begin(), chosen.end()};
+  return chosen;
+}
+
+struct Run;
+
+/// One process's closed issue loop.
+struct Loop {
+  Run* run = nullptr;
+  Replica* replica = nullptr;
+  sim::NodeId node = 0;
+  std::size_t remaining = 0;
+
+  void issue();
+};
+
+/// What the loops of one run_workload share. Their closures hold plain
+/// Loop pointers, which fit std::function's inline buffer, where a
+/// shared_ptr capture would cost an allocation per closure.
+struct Run {
+  Run(sim::Simulator& s, std::size_t objects, const WorkloadParams& p, std::uint64_t seed)
+      : sim(s), num_objects(objects), params(p), rng(seed), zipf(objects, p.zipf_skew) {}
+
+  sim::Simulator& sim;
+  std::size_t num_objects;
+  WorkloadParams params;
+  WorkloadReport report;
+  util::Rng rng;
+  util::ZipfGenerator zipf;
+  std::uint64_t salt = 0;
+  std::vector<Loop> loops;
+  /// Loops with m-operations left to issue or to complete.
+  std::size_t live = 0;
+};
+
+void Loop::issue() {
+  if (remaining == 0) {
+    --run->live;
+    return;
+  }
+  --remaining;
+  mscript::Program program =
+      random_program(run->num_objects, run->params, run->rng, run->zipf, run->salt++);
+  const bool is_update = program.is_update();
+  sim::Context ctx(run->sim, node);
+  replica->invoke(ctx, std::move(program), [this, is_update](const InvocationOutcome& out) {
+    const auto latency = static_cast<double>(out.response - out.invoke);
+    if (is_update) {
+      run->report.update_latency.add(latency);
+      ++run->report.updates;
+    } else {
+      run->report.query_latency.add(latency);
+      ++run->report.queries;
+    }
+    // mocc-lint: allow(sched-hook): harness issue loop, not protocol
+    run->sim.schedule_call(run->sim.now() + run->params.think_time, [this] { issue(); });
+  });
 }
 
 }  // namespace
@@ -72,66 +130,21 @@ WorkloadReport run_workload(sim::Simulator& sim, const std::vector<Replica*>& re
                             std::size_t num_objects, const WorkloadParams& params,
                             std::uint64_t seed) {
   MOCC_ASSERT(!replicas.empty());
-  auto report = std::make_shared<WorkloadReport>();
-  auto rng = std::make_shared<util::Rng>(seed);
-  auto zipf = std::make_shared<util::ZipfGenerator>(num_objects, params.zipf_skew);
-  auto salt = std::make_shared<std::uint64_t>(0);
-
-  // One self-rescheduling closure per process.
-  struct Loop : std::enable_shared_from_this<Loop> {
-    sim::Simulator& sim;
-    Replica& replica;
-    sim::NodeId node;
-    std::size_t remaining;
-    std::size_t num_objects;
-    const WorkloadParams& params;
-    std::shared_ptr<WorkloadReport> report;
-    std::shared_ptr<util::Rng> rng;
-    std::shared_ptr<util::ZipfGenerator> zipf;
-    std::shared_ptr<std::uint64_t> salt;
-
-    Loop(sim::Simulator& s, Replica& r, sim::NodeId n, std::size_t rem,
-         std::size_t objs, const WorkloadParams& p, std::shared_ptr<WorkloadReport> rep,
-         std::shared_ptr<util::Rng> rg, std::shared_ptr<util::ZipfGenerator> z,
-         std::shared_ptr<std::uint64_t> st)
-        : sim(s), replica(r), node(n), remaining(rem), num_objects(objs), params(p),
-          report(std::move(rep)), rng(std::move(rg)), zipf(std::move(z)),
-          salt(std::move(st)) {}
-
-    void issue() {
-      if (remaining == 0) return;
-      --remaining;
-      mscript::Program program =
-          random_program(num_objects, params, *rng, *zipf, (*salt)++);
-      const bool is_update = program.is_update();
-      sim::Context ctx(sim, node);
-      auto self = shared_from_this();
-      replica.invoke(ctx, std::move(program), [self, is_update](const InvocationOutcome& out) {
-        const auto latency = static_cast<double>(out.response - out.invoke);
-        if (is_update) {
-          self->report->update_latency.add(latency);
-          ++self->report->updates;
-        } else {
-          self->report->query_latency.add(latency);
-          ++self->report->queries;
-        }
-        // mocc-lint: allow(sched-hook): harness issue loop, not protocol
-        self->sim.schedule_call(self->sim.now() + self->params.think_time,
-                                [self] { self->issue(); });
-      });
-    }
-  };
-
+  auto run = std::make_shared<Run>(sim, num_objects, params, seed);
+  run->loops.resize(replicas.size());  // never resized again: closures point in
   for (sim::NodeId node = 0; node < replicas.size(); ++node) {
-    auto loop = std::make_shared<Loop>(sim, *replicas[node], node,
-                                       params.ops_per_process, num_objects, params,
-                                       report, rng, zipf, salt);
+    Loop* loop = &run->loops[node];
+    *loop = Loop{run.get(), replicas[node], node, params.ops_per_process};
+    ++run->live;
     // mocc-lint: allow(sched-hook): harness kickoff, not protocol code
     sim.schedule_call(1 + node, [loop] { loop->issue(); });
   }
 
   sim.run();
-  return *report;
+  // A stopped run leaves closures that point into `run` in the event
+  // queue and in the replicas: the simulator keeps it alive for them.
+  if (run->live != 0) sim.retain(run);
+  return run->report;
 }
 
 }  // namespace mocc::protocols

@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+
 #include "obs/trace.hpp"
 #include "sim/wire_kinds.hpp"
 #include "util/assert.hpp"
@@ -36,10 +38,10 @@ void Context::send(NodeId to, std::uint32_t kind, std::vector<std::uint8_t> payl
   sim_.send(self_, to, kind, std::move(payload));
 }
 
-void Context::send_to_others(std::uint32_t kind,
-                             const std::vector<std::uint8_t>& payload) {
+void Context::send_to_others(std::uint32_t kind, std::vector<std::uint8_t> payload) {
+  const auto shared = std::make_shared<const std::vector<std::uint8_t>>(std::move(payload));
   for (NodeId to = 0; to < sim_.num_nodes(); ++to) {
-    if (to != self_) sim_.send(self_, to, kind, payload);
+    if (to != self_) sim_.send_payload(self_, to, kind, Payload(shared));
   }
 }
 
@@ -69,20 +71,45 @@ void Simulator::schedule_call(SimTime time, std::function<void()> fn) {
   event.time = std::max(time, now_);
   event.seq = next_seq_++;
   event.call = std::move(fn);
-  queue_.push(std::move(event));
+  push(std::move(event));
+}
+
+void Simulator::push(Event event) {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(events_.size());
+    events_.push_back(std::move(event));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    events_[slot] = std::move(event);
+  }
+  queue_.push_back(Key{events_[slot].time, events_[slot].seq, slot});
+  std::push_heap(queue_.begin(), queue_.end(), KeyAfter{});
+}
+
+Simulator::Event Simulator::pop() {
+  std::pop_heap(queue_.begin(), queue_.end(), KeyAfter{});
+  const std::uint32_t slot = queue_.back().slot;
+  queue_.pop_back();
+  free_slots_.push_back(slot);
+  return std::move(events_[slot]);
 }
 
 void Simulator::post(std::function<void()> fn) {
   MOCC_ASSERT(fn != nullptr);
   std::lock_guard<std::mutex> lock(post_mu_);
   posted_.push_back(std::move(fn));
+  posted_pending_.store(true, std::memory_order_release);
 }
 
 void Simulator::drain_posted() {
+  if (!posted_pending_.load(std::memory_order_acquire)) return;
   std::vector<std::function<void()>> batch;
   {
     std::lock_guard<std::mutex> lock(post_mu_);
     batch.swap(posted_);
+    posted_pending_.store(false, std::memory_order_relaxed);
   }
   for (auto& fn : batch) schedule_call(now_, std::move(fn));
 }
@@ -113,8 +140,7 @@ void Simulator::set_backlog_probe(SimTime interval,
   backlog_probe_ = std::move(probe);
 }
 
-void Simulator::send(NodeId from, NodeId to, std::uint32_t kind,
-                     std::vector<std::uint8_t> payload) {
+void Simulator::send_payload(NodeId from, NodeId to, std::uint32_t kind, Payload payload) {
   MOCC_ASSERT(from < actors_.size() && to < actors_.size());
   // Every kind on the wire must belong to a range registered in
   // sim/wire_kinds.hpp (hot path, so debug builds only).
@@ -180,11 +206,9 @@ void Simulator::send(NodeId from, NodeId to, std::uint32_t kind,
     Event event;
     event.time = now_ + delay_->sample(from, to, rng_) + extra_delay;
     event.seq = next_seq_++;
-    event.message = Message{from, to, kind,
-                            copy + 1 == copies ? std::move(payload)
-                                               : std::vector<std::uint8_t>(payload),
+    event.message = Message{from, to, kind, copy + 1 == copies ? std::move(payload) : payload,
                             current_trace_, now_};
-    queue_.push(std::move(event));
+    push(std::move(event));
   }
 }
 
@@ -196,7 +220,7 @@ void Simulator::set_timer(NodeId node, SimTime delay, std::uint64_t timer_id) {
   event.timer_node = node;
   event.timer_id = timer_id;
   event.timer_trace = current_trace_;
-  queue_.push(std::move(event));
+  push(std::move(event));
 }
 
 void Simulator::dispatch(const Event& event) {
@@ -282,7 +306,7 @@ SimTime Simulator::run(SimTime max_time) {
     }
     // Check the deadline BEFORE popping so a paused run can resume
     // without losing the event at the horizon.
-    if (max_time != 0 && queue_.top().time > max_time) {
+    if (max_time != 0 && queue_.front().time > max_time) {
       now_ = max_time;
       return now_;
     }
@@ -290,13 +314,12 @@ SimTime Simulator::run(SimTime max_time) {
     // about to cross. Piggybacking on the event loop (instead of a
     // self-rescheduling timer) keeps quiescence detection intact.
     if (backlog_interval_ != 0) {
-      while (next_backlog_ <= queue_.top().time) {
+      while (next_backlog_ <= queue_.front().time) {
         backlog_probe_(next_backlog_);
         next_backlog_ += backlog_interval_;
       }
     }
-    Event event = queue_.top();
-    queue_.pop();
+    Event event = pop();
     MOCC_ASSERT_MSG(event.time >= now_, "time went backwards");
     // Deterministic tie-break: pops are lexicographically increasing in
     // (time, seq) — equal-time events dispatch in send order. mocc-check

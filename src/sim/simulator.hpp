@@ -14,12 +14,12 @@
 // sequence number.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -114,12 +114,33 @@ class ScheduleController {
   virtual std::size_t choose(const std::vector<Choice>& pending) = 0;
 };
 
+/// A message's bytes, immutable once sent. The copies of one
+/// Context::send_to_others share a single buffer instead of copying it
+/// per destination; readers see a plain byte vector either way.
+class Payload {
+ public:
+  Payload() = default;
+  Payload(std::vector<std::uint8_t> bytes) : own_(std::move(bytes)) {}  // implicit
+  explicit Payload(std::shared_ptr<const std::vector<std::uint8_t>> shared)
+      : shared_(std::move(shared)) {}
+
+  const std::vector<std::uint8_t>& bytes() const {
+    return shared_ != nullptr ? *shared_ : own_;
+  }
+  operator const std::vector<std::uint8_t>&() const { return bytes(); }  // implicit
+  std::size_t size() const { return bytes().size(); }
+
+ private:
+  std::vector<std::uint8_t> own_;
+  std::shared_ptr<const std::vector<std::uint8_t>> shared_;
+};
+
 struct Message {
   NodeId from = 0;
   NodeId to = 0;
   /// Protocol-defined discriminator (also keys the traffic statistics).
   std::uint32_t kind = 0;
-  std::vector<std::uint8_t> payload;
+  Payload payload;
   /// Causal trace context, stamped by Simulator::send from the current
   /// context. Rides in memory only — it is never serialized, so wire
   /// payloads, traffic accounting, and every golden stay byte-identical
@@ -142,8 +163,8 @@ class Context {
   std::size_t num_nodes() const;
 
   void send(NodeId to, std::uint32_t kind, std::vector<std::uint8_t> payload);
-  /// Sends to every node except self.
-  void send_to_others(std::uint32_t kind, const std::vector<std::uint8_t>& payload);
+  /// Sends to every node except self; the sends share one buffer.
+  void send_to_others(std::uint32_t kind, std::vector<std::uint8_t> payload);
   /// on_timer(id) fires after `delay` ticks.
   void set_timer(SimTime delay, std::uint64_t timer_id);
 
@@ -216,6 +237,11 @@ class Simulator {
   /// limit). Returns the final virtual time.
   SimTime run(SimTime max_time = 0);
 
+  /// Keeps `state` alive as long as the simulator: for a driver that
+  /// returns while closures pointing into its state are still queued
+  /// (a stopped run).
+  void retain(std::shared_ptr<void> state) { retained_.push_back(std::move(state)); }
+
   /// Asks run() to return before dispatching its next event. Sticky:
   /// subsequent run() calls return immediately until clear_stop().
   /// Callable from inside a dispatched event (a streaming auditor's
@@ -273,8 +299,11 @@ class Simulator {
   std::uint64_t new_span_id() { return next_span_id_++; }
 
   // Internal API used by Context -------------------------------------
-  void send(NodeId from, NodeId to, std::uint32_t kind,
-            std::vector<std::uint8_t> payload);
+  void send(NodeId from, NodeId to, std::uint32_t kind, std::vector<std::uint8_t> payload) {
+    send_payload(from, to, kind, Payload(std::move(payload)));
+  }
+  /// The same send of a payload that may share its buffer.
+  void send_payload(NodeId from, NodeId to, std::uint32_t kind, Payload payload);
   void set_timer(NodeId node, SimTime delay, std::uint64_t timer_id);
 
  private:
@@ -289,13 +318,22 @@ class Simulator {
     obs::SpanContext timer_trace;  // context captured at set_timer
     std::function<void()> call;  // external injection when set
   };
-  struct EventAfter {
-    bool operator()(const Event& a, const Event& b) const {
+  /// A queued event's heap entry: its order key and its slot in events_.
+  struct Key {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+  };
+  struct KeyAfter {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
+  void push(Event event);
+  /// Removes and returns the earliest queued event (queue_ non-empty).
+  Event pop();
   void dispatch(const Event& event);
   /// Controlled mode: surfaces held_messages_ to the controller and
   /// dispatches the chosen delivery at now_ + 1. Returns false when the
@@ -307,6 +345,9 @@ class Simulator {
 
   std::mutex post_mu_;
   std::vector<std::function<void()>> posted_ MOCC_GUARDED_BY(post_mu_);
+  /// Set (under post_mu_) when posted_ may be non-empty, so that
+  /// drain_posted() takes no lock on the events nothing was posted for.
+  std::atomic<bool> posted_pending_{false};
 
   // mocc-lint: allow-begin(guarded-by): post_mu_ guards only posted_;
   // everything below is owned by the single simulation thread (post() is
@@ -314,7 +355,13 @@ class Simulator {
   std::unique_ptr<DelayModel> delay_;
   util::Rng rng_;
   std::vector<std::unique_ptr<Actor>> actors_;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
+  /// The event queue: a binary heap of small keys under KeyAfter
+  /// (std::push_heap / std::pop_heap, as std::priority_queue would) over
+  /// events that stay in their slot until popped, so that reordering the
+  /// heap moves keys, not events. Popped slots are reused.
+  std::vector<Key> queue_;
+  std::vector<Event> events_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   bool started_ = false;
@@ -338,6 +385,7 @@ class Simulator {
   SimTime backlog_interval_ = 0;
   SimTime next_backlog_ = 0;
   std::function<void(SimTime)> backlog_probe_;
+  std::vector<std::shared_ptr<void>> retained_;
   // mocc-lint: allow-end(guarded-by)
 };
 

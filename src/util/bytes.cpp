@@ -1,28 +1,27 @@
 #include "util/bytes.hpp"
 
-#include "util/assert.hpp"
+#include <type_traits>
 
 namespace mocc::util {
 
 namespace {
-// Appends v little-endian in one insert.
+// Appends a u32 count, then every element little-endian, in one resize.
 template <typename T>
-void append_le(std::vector<std::uint8_t>& buf, T v) {
-  std::uint8_t raw[sizeof(T)];
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    raw[i] = static_cast<std::uint8_t>(v >> (8 * i));
+void append_vector_le(std::vector<std::uint8_t>& buf, const std::vector<T>& v) {
+  const auto count = static_cast<std::uint32_t>(v.size());
+  std::size_t at = buf.size();
+  buf.resize(at + 4 + sizeof(T) * v.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    buf[at++] = static_cast<std::uint8_t>(count >> (8 * i));
   }
-  buf.insert(buf.end(), raw, raw + sizeof(T));
+  for (const T x : v) {
+    const auto u = static_cast<std::make_unsigned_t<T>>(x);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      buf[at++] = static_cast<std::uint8_t>(u >> (8 * i));
+    }
+  }
 }
 }  // namespace
-
-void ByteWriter::put_u8(std::uint8_t v) { buf_.push_back(v); }
-
-void ByteWriter::put_u32(std::uint32_t v) { append_le(buf_, v); }
-
-void ByteWriter::put_u64(std::uint64_t v) { append_le(buf_, v); }
-
-void ByteWriter::put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
 
 void ByteWriter::put_string(std::string_view s) {
   put_u32(static_cast<std::uint32_t>(s.size()));
@@ -35,40 +34,16 @@ void ByteWriter::put_bytes(const std::vector<std::uint8_t>& v) {
 }
 
 void ByteWriter::put_u64_vector(const std::vector<std::uint64_t>& v) {
-  put_u32(static_cast<std::uint32_t>(v.size()));
-  for (auto x : v) put_u64(x);
+  append_vector_le(buf_, v);
 }
 
 void ByteWriter::put_i64_vector(const std::vector<std::int64_t>& v) {
-  put_u32(static_cast<std::uint32_t>(v.size()));
-  for (auto x : v) put_i64(x);
+  append_vector_le(buf_, v);
 }
 
 void ByteWriter::put_u32_vector(const std::vector<std::uint32_t>& v) {
-  put_u32(static_cast<std::uint32_t>(v.size()));
-  for (auto x : v) put_u32(x);
+  append_vector_le(buf_, v);
 }
-
-std::uint8_t ByteReader::get_u8() {
-  MOCC_ASSERT_MSG(pos_ + 1 <= buf_.size(), "message underflow");
-  return buf_[pos_++];
-}
-
-std::uint32_t ByteReader::get_u32() {
-  MOCC_ASSERT_MSG(pos_ + 4 <= buf_.size(), "message underflow");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t ByteReader::get_u64() {
-  MOCC_ASSERT_MSG(pos_ + 8 <= buf_.size(), "message underflow");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::int64_t ByteReader::get_i64() { return static_cast<std::int64_t>(get_u64()); }
 
 std::string ByteReader::get_string() {
   const std::uint32_t len = get_u32();
@@ -87,30 +62,45 @@ std::vector<std::uint8_t> ByteReader::get_bytes() {
   return std::vector<std::uint8_t>(first, first + static_cast<std::ptrdiff_t>(len));
 }
 
-std::vector<std::uint64_t> ByteReader::get_u64_vector() {
+void ByteReader::get_u64_vector(std::vector<std::uint64_t>& out) {
   const std::uint32_t len = get_u32();
   MOCC_ASSERT_MSG(len <= remaining() / 8, "message underflow");
+  out.clear();
+  out.reserve(len);
+  for (std::uint32_t i = 0; i < len; ++i) out.push_back(get_u64());
+}
+
+void ByteReader::get_i64_vector(std::vector<std::int64_t>& out) {
+  const std::uint32_t len = get_u32();
+  MOCC_ASSERT_MSG(len <= remaining() / 8, "message underflow");
+  out.clear();
+  out.reserve(len);
+  for (std::uint32_t i = 0; i < len; ++i) out.push_back(get_i64());
+}
+
+void ByteReader::get_u32_vector(std::vector<std::uint32_t>& out) {
+  const std::uint32_t len = get_u32();
+  MOCC_ASSERT_MSG(len <= remaining() / 4, "message underflow");
+  out.clear();
+  out.reserve(len);
+  for (std::uint32_t i = 0; i < len; ++i) out.push_back(get_u32());
+}
+
+std::vector<std::uint64_t> ByteReader::get_u64_vector() {
   std::vector<std::uint64_t> v;
-  v.reserve(len);
-  for (std::uint32_t i = 0; i < len; ++i) v.push_back(get_u64());
+  get_u64_vector(v);
   return v;
 }
 
 std::vector<std::int64_t> ByteReader::get_i64_vector() {
-  const std::uint32_t len = get_u32();
-  MOCC_ASSERT_MSG(len <= remaining() / 8, "message underflow");
   std::vector<std::int64_t> v;
-  v.reserve(len);
-  for (std::uint32_t i = 0; i < len; ++i) v.push_back(get_i64());
+  get_i64_vector(v);
   return v;
 }
 
 std::vector<std::uint32_t> ByteReader::get_u32_vector() {
-  const std::uint32_t len = get_u32();
-  MOCC_ASSERT_MSG(len <= remaining() / 4, "message underflow");
   std::vector<std::uint32_t> v;
-  v.reserve(len);
-  for (std::uint32_t i = 0; i < len; ++i) v.push_back(get_u32());
+  get_u32_vector(v);
   return v;
 }
 

@@ -25,6 +25,9 @@ class VersionVector {
     return vv;
   }
 
+  /// Replaces the entries, reusing this vector's storage.
+  void assign(const std::vector<std::uint64_t>& entries) { v_ = entries; }
+
   std::size_t size() const { return v_.size(); }
   /// True for a default-constructed vector (no objects tracked yet).
   bool empty() const { return v_.empty(); }

@@ -47,8 +47,11 @@ Execution run(const std::string& protocol, const std::string& broadcast, std::ui
   protocols::WorkloadParams params;
   params.ops_per_process = ops;
   system.run_workload(params);
+  const TimestampView recorded = system.recorder().timestamps();
+  std::vector<util::VersionVector> timestamps;
+  for (MOpId id = 0; id < recorded.size(); ++id) timestamps.push_back(recorded[id]);
   return {system.history(), api::claimed_condition(protocol), system.recorder().ww_ranks(),
-          system.recorder().timestamps()};
+          std::move(timestamps)};
 }
 
 /// The dense oracle's trace of `e`, from its (possibly corrupted) ranks

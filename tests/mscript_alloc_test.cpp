@@ -1,7 +1,8 @@
 // Heap allocations on MScript's per-message path. Every replica decodes
 // and validates every update program it applies, so a valid program
-// must validate without allocating, and decoding may allocate only the
-// vectors the Program keeps. An error message formatted for every
+// must validate without allocating, decoding may allocate only the
+// vectors the Program keeps (and nothing when it reuses a Program's),
+// and encoding sizes its buffer once. An error message formatted for every
 // instruction checked shows here as one allocation per instruction,
 // long before it shows in wall time.
 //
@@ -87,6 +88,31 @@ TEST(MScriptAllocations, DecodeAllocatesOnlyTheProgramsVectors) {
   // may_read, may_write and code; the name fits the small-string buffer.
   EXPECT_EQ(allocations_in([&] { decoded = Program::decode(r); }), 3u);
   EXPECT_TRUE(decoded == original);
+}
+
+TEST(MScriptAllocations, DecodeIntoAProgramOfTheSameShapeAllocatesNothing) {
+#if MOCC_ALLOC_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizers replace the counting operator new";
+#endif
+  // A replica decodes every delivered update into one reused Program.
+  const Program original = lib::make_dcas(1, 2, 10, 20, 11, 21);
+  util::ByteWriter w;
+  original.encode(w);
+  const std::vector<std::uint8_t> wire = w.take();
+  Program decoded = lib::make_dcas(3, 4, 0, 0, 1, 1);
+  util::ByteReader r(wire);
+  EXPECT_EQ(allocations_in([&] { Program::decode(r, decoded); }), 0u);
+  EXPECT_TRUE(decoded == original);
+}
+
+TEST(MScriptAllocations, EncodeAllocatesOnce) {
+#if MOCC_ALLOC_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizers replace the counting operator new";
+#endif
+  const Program program = lib::make_dcas(1, 2, 10, 20, 11, 21);
+  util::ByteWriter w;
+  EXPECT_EQ(allocations_in([&] { program.encode(w); }), 1u);
+  EXPECT_EQ(w.size(), program.encoded_size());
 }
 
 }  // namespace

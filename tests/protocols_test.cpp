@@ -6,8 +6,11 @@
 
 #include <memory>
 
+#include "abcast/abcast.hpp"
 #include "api/system.hpp"
 #include "mscript/library.hpp"
+#include "protocols/mlin_replica.hpp"
+#include "sim/delay.hpp"
 
 namespace mocc::protocols {
 namespace {
@@ -406,6 +409,50 @@ TEST(Workload, UpdateRatioRespectedApproximately) {
   const double ratio =
       static_cast<double>(report.updates) / (report.updates + report.queries);
   EXPECT_NEAR(ratio, 0.2, 0.1);
+}
+
+/// Requests a stop at the simulator's `after`-th m-operation response.
+class StopAfterResponses final : public obs::TraceSink {
+ public:
+  StopAfterResponses(sim::Simulator& sim, std::size_t after) : sim_(sim), left_(after) {}
+  void on_event(const obs::TraceEvent& event) override {
+    if (event.type == obs::TraceEventType::kMOpRespond && left_ > 0 && --left_ == 0) {
+      sim_.request_stop();
+    }
+  }
+
+ private:
+  sim::Simulator& sim_;
+  std::size_t left_;
+};
+
+TEST(Workload, AStoppedRunResumesToCompletion) {
+  // run_workload returns when a stop is requested; its issue loops stay
+  // queued in the simulator and in the replicas, and must still be valid
+  // when the simulation resumes.
+  constexpr std::size_t kProcesses = 3;
+  constexpr std::size_t kObjects = 4;
+  ExecutionRecorder recorder(kProcesses, kObjects);
+  sim::Simulator sim(sim::make_delay_model("lan"), 9);
+  std::vector<Replica*> replicas;
+  for (std::size_t p = 0; p < kProcesses; ++p) {
+    auto replica = std::make_unique<MLinReplica>(
+        kObjects, abcast::make_abcast_factory("sequencer")(), recorder);
+    replicas.push_back(replica.get());
+    sim.add_node(std::move(replica));
+  }
+  StopAfterResponses stop(sim, 10);
+  sim.set_trace_sink(&stop);
+  WorkloadParams params;
+  params.ops_per_process = 20;
+  const WorkloadReport partial = run_workload(sim, replicas, kObjects, params, 1);
+  EXPECT_EQ(partial.queries + partial.updates, 10u);
+
+  sim.set_trace_sink(nullptr);
+  sim.clear_stop();
+  sim.run();
+  EXPECT_EQ(recorder.size(), kProcesses * params.ops_per_process);
+  EXPECT_TRUE(recorder.all_completed());
 }
 
 TEST(Workload, ZipfSkewStillCompletes) {

@@ -44,6 +44,15 @@ bool contains(const std::array<std::string_view, N>& set,
   return false;
 }
 
+/// 'name'. Appended rather than `"'" + std::string(name)`: gcc 12's
+/// -Wrestrict misfires on that operator+ in Release builds.
+std::string quoted(std::string_view name) {
+  std::string out = "'";
+  out += name;
+  out += '\'';
+  return out;
+}
+
 }  // namespace
 
 void check_determinism(const Config& config, const SourceFile& file,
@@ -61,20 +70,18 @@ void check_determinism(const Config& config, const SourceFile& file,
     if (tok.kind != Token::Kind::kIdent) continue;
 
     if (contains(kBannedAnywhere, tok.text)) {
-      emit(tok.offset,
-           "'" + std::string(tok.text) +
-               "' in the deterministic subtree (wall clock / ambient "
-               "randomness breaks byte-identical reruns; use the run's "
-               "seeded util::Rng and virtual time)");
+      emit(tok.offset, quoted(tok.text) +
+                           " in the deterministic subtree (wall clock / ambient "
+                           "randomness breaks byte-identical reruns; use the run's "
+                           "seeded util::Rng and virtual time)");
       continue;
     }
 
     if (contains(kUnordered, tok.text)) {
-      emit(tok.offset,
-           "'" + std::string(tok.text) +
-               "' in the deterministic subtree (iteration order is "
-               "implementation-defined; use std::map/std::set, sort at "
-               "the boundary, or justify with an inline allow)");
+      emit(tok.offset, quoted(tok.text) +
+                           " in the deterministic subtree (iteration order is "
+                           "implementation-defined; use std::map/std::set, sort at "
+                           "the boundary, or justify with an inline allow)");
       continue;
     }
 

@@ -99,8 +99,10 @@ void SourceFile::mask() {
         (i == 0 || !ident_char(t[i - 1]))) {
       std::size_t delim_end = i + 2;
       while (delim_end < t.size() && t[delim_end] != '(') ++delim_end;
-      const std::string closer =
-          ")" + t.substr(i + 2, delim_end - (i + 2)) + "\"";
+      // Appended: gcc 12's -Wrestrict misfires on `")" + std::string`.
+      std::string closer = ")";
+      closer.append(t, i + 2, delim_end - (i + 2));
+      closer += '"';
       std::size_t end = t.find(closer, delim_end);
       end = end == std::string::npos ? t.size() : end + closer.size();
       literals_.push_back(
