@@ -934,7 +934,7 @@ std::vector<ExperimentRecord> run_e11(const SuiteOptions& options) {
       if (mode == std::string("stream")) {
         obs::StreamingAuditorOptions live;
         live.condition = core::Condition::kMLinearizability;
-        live.window = 16;  // several cuts even at smoke scale
+        live.processes = config.num_processes;
         obs::StreamingAuditor auditor(live);
         const RunResult result =
             run_experiment(config, params, /*run_audit=*/true, &auditor);
@@ -1057,7 +1057,7 @@ void write_records_json(std::ostream& out,
   // using none — and their goldens — stay byte-identical to minor 0.
   const bool has_streaming_records =
       std::any_of(records.begin(), records.end(), [](const ExperimentRecord& r) {
-        return r.metrics.counters().contains("audit_windows_passed");
+        return r.metrics.counters().contains("audit_mops");
       });
   const bool has_exec_records =
       std::any_of(records.begin(), records.end(), [](const ExperimentRecord& r) {

@@ -49,7 +49,7 @@ inline constexpr int kBenchSchemaMinorSpans = 2;
 inline constexpr int kBenchSchemaMinorBatching = 3;
 /// Minor 4 is E10's multicore-engine series (exec_committed et al.).
 inline constexpr int kBenchSchemaMinorExec = 4;
-/// Minor 5 is E11's streaming-audit series (audit_windows_passed et al.).
+/// Minor 5 is E11's streaming-audit series (audit_mops et al.).
 inline constexpr int kBenchSchemaMinorStreaming = 5;
 inline constexpr int kBenchSchemaVersionMinor = kBenchSchemaMinorStreaming;
 
@@ -149,12 +149,11 @@ void register_exec_metrics(obs::Registry& registry,
                            bool include_wallclock);
 
 /// Streaming-audit series for E11 records (schema minor 5): the
-/// auditor's progress counters `audit_mops` / `audit_windows` /
-/// `audit_windows_passed` / `audit_windows_failed` /
-/// `audit_windows_undecided` and gauge `audit_verdict` (0 ok,
-/// 1 violation, 2 inconclusive) — the same names
-/// StreamingAuditor::export_metrics publishes into time-series samples,
-/// so artifact records and live streams read identically.
+/// auditor's counter `audit_mops` and gauges `audit_pending` (completed
+/// m-operations whose verdict is not final yet) and `audit_verdict`
+/// (0 ok, 1 violation, 2 inconclusive) — the same names
+/// obs::export_metrics publishes into time-series samples, so artifact
+/// records and live streams read identically.
 void register_streaming_metrics(obs::Registry& registry,
                                 const obs::StreamingAuditor& auditor);
 
@@ -224,11 +223,10 @@ std::vector<ExperimentRecord> run_e10(const SuiteOptions& options);
 /// E11: streaming-audit overhead — E1-shaped (clean) and E8-shaped
 /// (faulty, reliable-link) mlin runs, each in three audit modes: `off`
 /// (no sink attached), `stream` (a StreamingAuditor consumes the trace
-/// tap online, small windows so several cuts land even in smoke runs),
-/// and `posthoc` (ring-buffer sink, whole trace audited after the run).
-/// The JSON records carry only deterministic series (virtual time,
-/// messages, audit windows); the wall-clock ≤2x overhead claim is
-/// measured by the bench_e11_streaming google-benchmark binary.
+/// tap online), and `posthoc` (ring-buffer sink, whole trace audited
+/// after the run). The JSON records carry only deterministic series
+/// (virtual time, messages, audit progress); the wall-clock ≤2x overhead
+/// claim is measured by the bench_e11_streaming google-benchmark binary.
 std::vector<ExperimentRecord> run_e11(const SuiteOptions& options);
 
 /// Runs every selected experiment in order. Deterministic: same options

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,11 +45,12 @@ inline constexpr std::uint32_t kAbcastKindLast = sim::wire::kAbcastLast;
 
 class AtomicBroadcast {
  public:
-  /// origin = broadcasting node; payload = opaque application bytes.
-  /// The context is the live one of the event that triggered delivery
-  /// (never stored — contexts are stack-scoped per event).
+  /// origin = broadcasting node; payload = opaque application bytes,
+  /// valid only for the call (often a view into the frame that carried
+  /// them). The context is the live one of the event that triggered
+  /// delivery (never stored — contexts are stack-scoped per event).
   using DeliverFn = std::function<void(sim::Context& ctx, sim::NodeId origin,
-                                       const std::vector<std::uint8_t>& payload)>;
+                                       std::span<const std::uint8_t> payload)>;
 
   virtual ~AtomicBroadcast() = default;
 

@@ -17,7 +17,7 @@ SequencerAbcast::SequencerAbcast(Options options) : options_(options) {
 
 void SequencerAbcast::broadcast(sim::Context& ctx, std::vector<std::uint8_t> payload) {
   if (ctx.self() == kSequencerNode) {
-    sequence_and_fan_out(ctx, ctx.self(), std::move(payload));
+    sequence_and_fan_out(ctx, ctx.self(), payload);
     return;
   }
   util::ByteWriter out(4 + 4 + util::encoded_size(payload));
@@ -28,14 +28,14 @@ void SequencerAbcast::broadcast(sim::Context& ctx, std::vector<std::uint8_t> pay
 }
 
 void SequencerAbcast::sequence_and_fan_out(sim::Context& ctx, sim::NodeId origin,
-                                           std::vector<std::uint8_t> payload) {
+                                           std::span<const std::uint8_t> payload) {
   MOCC_ASSERT(ctx.self() == kSequencerNode);
   if (options_.batch_max > 1) {
     // Group commit: park the submission; positions are assigned to the
     // whole batch at flush time, in this arrival order.
     const bool was_empty = batch_.empty();
-    batch_.push_back(
-        BatchItem{origin, std::move(payload), ctx.trace_context(), ctx.now()});
+    batch_.push_back(BatchItem{origin, std::vector<std::uint8_t>(payload.begin(), payload.end()),
+                               ctx.trace_context(), ctx.now()});
     if (batch_.size() >= options_.batch_max) {
       flush_batch(ctx, /*trigger=*/0);
     } else if (was_empty) {
@@ -56,7 +56,7 @@ void SequencerAbcast::sequence_and_fan_out(sim::Context& ctx, sim::NodeId origin
   out.put_bytes(payload);
   send_to_others(ctx, kDeliver, out.take());
   // Local delivery without a network hop.
-  accept(ctx, seq, origin, std::move(payload), ctx.now());
+  accept(ctx, seq, origin, payload, ctx.now());
 }
 
 void SequencerAbcast::flush_batch(sim::Context& ctx, std::uint32_t trigger) {
@@ -91,8 +91,7 @@ void SequencerAbcast::flush_batch(sim::Context& ctx, std::uint32_t trigger) {
   send_to_others(ctx, kDeliverBatch, out.take());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ctx.set_trace_context(batch[i].trace);
-    accept(ctx, first + i, batch[i].origin, std::move(batch[i].payload),
-           batch[i].seen_at);
+    accept(ctx, first + i, batch[i].origin, batch[i].payload, batch[i].seen_at);
   }
   ctx.set_trace_context(outer);
 }
@@ -109,7 +108,7 @@ bool SequencerAbcast::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
 }
 
 void SequencerAbcast::accept(sim::Context& ctx, std::uint64_t seq, sim::NodeId origin,
-                             std::vector<std::uint8_t> payload, sim::SimTime seen_at) {
+                             std::span<const std::uint8_t> payload, sim::SimTime seen_at) {
   // Each delivery re-roots the trace context at its abcast_agree span
   // (first sighting here -> agreed-position delivery); deliver() restores
   // it between deliveries so gap-fill deliveries keep their own contexts.
@@ -117,7 +116,8 @@ void SequencerAbcast::accept(sim::Context& ctx, std::uint64_t seq, sim::NodeId o
   if (seq == next_seq_to_deliver_) {
     deliver(ctx, origin, payload, outer, seen_at, outer);
   } else {
-    pending_[seq] = PendingDelivery{origin, std::move(payload), outer, seen_at};
+    pending_[seq] = PendingDelivery{
+        origin, std::vector<std::uint8_t>(payload.begin(), payload.end()), outer, seen_at};
   }
   while (true) {
     const auto it = pending_.find(next_seq_to_deliver_);
@@ -131,9 +131,8 @@ void SequencerAbcast::accept(sim::Context& ctx, std::uint64_t seq, sim::NodeId o
 }
 
 void SequencerAbcast::deliver(sim::Context& ctx, sim::NodeId origin,
-                              const std::vector<std::uint8_t>& payload,
-                              obs::SpanContext trace, sim::SimTime seen_at,
-                              obs::SpanContext outer) {
+                              std::span<const std::uint8_t> payload, obs::SpanContext trace,
+                              sim::SimTime seen_at, obs::SpanContext outer) {
   MOCC_ASSERT_MSG(deliver_ != nullptr, "deliver callback not wired");
   const std::uint64_t seq_pos = next_seq_to_deliver_++;
   if (auto* sink = ctx.trace_sink()) {
@@ -164,14 +163,14 @@ bool SequencerAbcast::on_message(sim::Context& ctx, const sim::Message& message)
     util::ByteReader in(message.payload);
     const sim::NodeId origin = in.get_u32();
     (void)in.get_u64_vector();
-    sequence_and_fan_out(ctx, origin, in.get_bytes());
+    sequence_and_fan_out(ctx, origin, in.get_bytes_view());
     return true;
   }
   if (message.kind == kDeliver) {
     util::ByteReader in(message.payload);
     const std::uint64_t seq = in.get_u64();
     const sim::NodeId origin = in.get_u32();
-    accept(ctx, seq, origin, in.get_bytes(), ctx.now());
+    accept(ctx, seq, origin, in.get_bytes_view(), ctx.now());
     return true;
   }
   if (message.kind == kDeliverBatch) {
@@ -180,7 +179,7 @@ bool SequencerAbcast::on_message(sim::Context& ctx, const sim::Message& message)
     const std::uint32_t count = in.get_u32();
     for (std::uint32_t i = 0; i < count; ++i) {
       const sim::NodeId origin = in.get_u32();
-      accept(ctx, first + i, origin, in.get_bytes(), ctx.now());
+      accept(ctx, first + i, origin, in.get_bytes_view(), ctx.now());
     }
     return true;
   }

@@ -70,21 +70,22 @@ class SequencerAbcast final : public AtomicBroadcast {
  private:
   /// Sequencer side: stamp and fan out (or enqueue when batching).
   void sequence_and_fan_out(sim::Context& ctx, sim::NodeId origin,
-                            std::vector<std::uint8_t> payload);
+                            std::span<const std::uint8_t> payload);
   /// Group commit: assign the pending batch its position block, fan it
   /// out as one frame, deliver locally. `trigger`: 0=size, 1=age.
   void flush_batch(sim::Context& ctx, std::uint32_t trigger);
   /// Receiver side: in-order delivery with gap buffering. `seen_at` is
   /// the abcast_agree span begin — arrival time for wire deliveries,
   /// submission-enqueue time for the sequencer's own batched items (the
-  /// group-commit wait is agreement latency, not queueing).
+  /// group-commit wait is agreement latency, not queueing). An in-order
+  /// position is delivered straight from `payload`; only a position
+  /// parked in pending_ copies it.
   void accept(sim::Context& ctx, std::uint64_t seq, sim::NodeId origin,
-              std::vector<std::uint8_t> payload, sim::SimTime seen_at);
+              std::span<const std::uint8_t> payload, sim::SimTime seen_at);
   /// Delivers position next_seq_to_deliver_ (traced from `trace`), then
   /// restores the context to `outer`.
-  void deliver(sim::Context& ctx, sim::NodeId origin,
-               const std::vector<std::uint8_t>& payload, obs::SpanContext trace,
-               sim::SimTime seen_at, obs::SpanContext outer);
+  void deliver(sim::Context& ctx, sim::NodeId origin, std::span<const std::uint8_t> payload,
+               obs::SpanContext trace, sim::SimTime seen_at, obs::SpanContext outer);
 
   struct PendingDelivery {
     sim::NodeId origin = 0;

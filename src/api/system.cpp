@@ -103,6 +103,7 @@ System::System(const SystemConfig& config) : config_(config) {
       options.narrow_replies = is_mlin_narrow;
       options.batch_queries = config.batching.batch_queries;
       options.mutate_skip_first_foreign = mutate_skip_delivery && p == 1;
+      options.peers_skip_delivery = mutate_skip_delivery;
       replica = std::make_unique<protocols::MLinReplica>(
           config.num_objects, make_abcast(), *recorder_, options);
     } else {

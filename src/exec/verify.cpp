@@ -64,13 +64,15 @@ void check_worker_order(const CommittedMop& mop, const CommittedMop* previous,
   }
 }
 
-}  // namespace
-
-VerifyReport verify_execution(const ExecResult& result, const VerifyOptions& options) {
+/// The tid-order replay behind verify_execution and stream_execution:
+/// the whole-log checks, then one step per m-operation in tid order,
+/// after each of which `after_step(replayed, mop, report)` runs.
+template <typename AfterStep>
+VerifyReport replay(const ExecResult& result, const std::vector<const CommittedMop*>& merged,
+                    const VerifyOptions& options, AfterStep&& after_step) {
   VerifyReport report;
   const std::size_t objects = result.config.objects;
   const std::size_t workers = result.config.threads;
-  const std::vector<const CommittedMop*> merged = merge_logs(result);
   report.mops = merged.size();
 
   if (result.stats.committed != merged.size()) {
@@ -96,6 +98,7 @@ VerifyReport verify_execution(const ExecResult& result, const VerifyOptions& opt
   std::vector<std::uint64_t> last_tid(objects, kInitialTid);
   std::vector<core::Value> last_value(objects, result.config.initial_value);
   std::vector<const CommittedMop*> previous(workers, nullptr);
+  std::size_t replayed = 0;
   for (const CommittedMop* mop : merged) {
     const auto where = [mop] { return "tid " + std::to_string(mop->tid); };
     if (mop->worker < workers) {
@@ -147,6 +150,7 @@ VerifyReport verify_execution(const ExecResult& result, const VerifyOptions& opt
       report.fail(where() + (writes ? " writes but is flagged as a query"
                                     : " writes nothing but is flagged as an update"));
     }
+    after_step(++replayed, *mop, report);
   }
 
   for (std::size_t x = 0; x < objects; ++x) {
@@ -159,22 +163,18 @@ VerifyReport verify_execution(const ExecResult& result, const VerifyOptions& opt
   return report;
 }
 
-obs::StreamingAuditorOptions stream_options(const ExecConfig& config) {
-  obs::StreamingAuditorOptions options;
-  options.condition = core::Condition::kMLinearizability;
-  options.initial_value = config.initial_value;
-  return options;
+}  // namespace
+
+VerifyReport verify_execution(const ExecResult& result, const VerifyOptions& options) {
+  return replay(result, merge_logs(result), options,
+                [](std::size_t, const CommittedMop&, const VerifyReport&) {});
 }
 
-const obs::StreamingReport& stream_execution(const ExecResult& result,
-                                             obs::StreamingAuditor& auditor,
-                                             obs::TimeSeriesWriter* series,
-                                             obs::Registry* registry,
-                                             std::size_t sample_every,
-                                             bool wallclock) {
+obs::StreamingReport stream_execution(const ExecResult& result,
+                                      obs::TimeSeriesWriter* series, obs::Registry* registry,
+                                      std::size_t sample_every, bool wallclock) {
   const std::vector<const CommittedMop*> merged = merge_logs(result);
-  const bool sampling =
-      series != nullptr && registry != nullptr && sample_every != 0;
+  const bool sampling = series != nullptr && registry != nullptr && sample_every != 0;
   const auto stamp = [&](std::uint64_t logical) -> std::uint64_t {
     if (!wallclock) return logical;
     // Wallclock stamps are for live monitoring of the real-thread
@@ -184,48 +184,26 @@ const obs::StreamingReport& stream_execution(const ExecResult& result,
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(now).count());
   };
-  std::size_t fed = 0;
-  for (const CommittedMop* mop : merged) {
-    obs::StreamingAuditor::ObservedMop observed;
-    observed.process = mop->worker;
-    observed.key = mop->tid;
-    observed.invoke = mop->invoke;
-    observed.respond = mop->response;
-    observed.is_update = mop->is_update;
-    if (mop->is_update) observed.ww = mop->tid;
-    observed.ops.reserve(mop->ops.size());
-    for (const LoggedOp& op : mop->ops) {
-      obs::StreamingAuditor::ObservedOp out;
-      out.type = op.type;
-      out.object = op.object;
-      out.value = op.value;
-      if (op.type == core::OpType::kRead) {
-        if (op.from_tid == kOwnWriteTid) {
-          out.internal = true;
-        } else if (op.from_tid == kInitialTid) {
-          out.writer = obs::StreamingAuditor::kInitialWriter;
-        } else {
-          out.writer = op.from_tid;
-        }
-      }
-      observed.ops.push_back(out);
-    }
-    const std::uint64_t response = mop->response;
-    auditor.observe(std::move(observed));
-    ++fed;
-    if (sampling && fed % sample_every == 0) {
-      auditor.export_metrics(*registry);
-      series->sample(*registry, stamp(response));
-    }
-  }
-  const obs::StreamingReport& report = auditor.finish();
+  obs::StreamingReport stream;
+  const auto publish = [&stream](std::size_t replayed, const VerifyReport& report) {
+    stream.mops = replayed;
+    stream.verdict = report.ok ? obs::StreamVerdict::kOk : obs::StreamVerdict::kViolation;
+    stream.detail = report.ok ? std::string() : report.violations.front();
+  };
+  const VerifyReport report = replay(
+      result, merged, VerifyOptions{},
+      [&](std::size_t replayed, const CommittedMop& mop, const VerifyReport& so_far) {
+        if (!sampling || replayed % sample_every != 0) return;
+        publish(replayed, so_far);
+        obs::export_metrics(stream, *registry);
+        series->sample(*registry, stamp(mop.response));
+      });
+  publish(report.mops, report);
   if (sampling) {
-    auditor.export_metrics(*registry);
-    const std::uint64_t last =
-        merged.empty() ? 0 : merged.back()->response;
-    series->sample(*registry, stamp(last));
+    obs::export_metrics(stream, *registry);
+    series->sample(*registry, stamp(merged.empty() ? 0 : merged.back()->response));
   }
-  return report;
+  return stream;
 }
 
 }  // namespace mocc::exec

@@ -32,7 +32,8 @@
 // witness, so the run is m-linearizable — or m-sequentially consistent,
 // exactly, with run_audit off. The replay is O(m-operations + operations
 // + objects) time and O(objects + workers) memory beyond the merged
-// pointers; no History is built and no checker runs.
+// pointers; no History is built and no checker runs. stream_execution
+// steps the same replay and samples a time series from it.
 #pragma once
 
 #include <cstddef>
@@ -69,29 +70,20 @@ struct VerifyReport {
 VerifyReport verify_execution(const ExecResult& result,
                               const VerifyOptions& options = {});
 
-/// Auditor options matching this engine's log shape: m-linearizability
-/// (commit-tid order refines real time) and the run's initial value.
-obs::StreamingAuditorOptions stream_options(const ExecConfig& config);
-
-/// Feeds the merged committed log through `auditor` in (epoch, tid)
-/// order — the trace-free twin of the simulator's TraceSink tap. Reads
-/// reference their writer by commit tid (kInitialTid maps to the
-/// initializing write, kOwnWriteTid to an internal read), so the SAME
-/// streaming windows + ghost-writer checks that audit the simulated
-/// protocols judge the real-thread engine. Calls auditor.finish() and
-/// returns its report.
-///
-/// When `series` and `registry` are both non-null, one time-series
-/// sample is emitted every `sample_every` m-operations plus one final
-/// sample after the audit completes. Samples carry the logical response
-/// clock by default; `wallclock` stamps them with milliseconds of
-/// wall time instead (non-deterministic — live monitoring only, never
-/// a golden artifact).
-const obs::StreamingReport& stream_execution(const ExecResult& result,
-                                             obs::StreamingAuditor& auditor,
-                                             obs::TimeSeriesWriter* series = nullptr,
-                                             obs::Registry* registry = nullptr,
-                                             std::size_t sample_every = 4096,
-                                             bool wallclock = false);
+/// The same replay as a stream: steps verify_execution's tid-order
+/// replay one m-operation at a time (the default VerifyOptions, so tid
+/// order must refine real time) and reports its verdict in the streaming
+/// auditor's terms — every m-operation is decided when it is replayed,
+/// so nothing is pending. When `series` and `registry` are both
+/// non-null, obs::export_metrics of the running report is sampled every
+/// `sample_every` m-operations, plus once after the replay completes.
+/// Samples carry the logical response clock by default; `wallclock`
+/// stamps them with milliseconds of wall time instead (non-deterministic
+/// — live monitoring only, never a golden artifact).
+obs::StreamingReport stream_execution(const ExecResult& result,
+                                      obs::TimeSeriesWriter* series = nullptr,
+                                      obs::Registry* registry = nullptr,
+                                      std::size_t sample_every = 4096,
+                                      bool wallclock = false);
 
 }  // namespace mocc::exec

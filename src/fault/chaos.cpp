@@ -101,7 +101,7 @@ std::string run_one(const ChaosParams& params, const std::string& protocol,
   if (params.stream) {
     obs::StreamingAuditorOptions live_options;
     live_options.condition = api::claimed_condition(protocol);
-    if (params.stream_window != 0) live_options.window = params.stream_window;
+    live_options.processes = params.num_processes;
     auditor.emplace(live_options);
     auditor->set_violation_callback(
         [&system](const obs::StreamingReport&) { system.request_stop(); });
@@ -120,7 +120,6 @@ std::string run_one(const ChaosParams& params, const std::string& protocol,
     // The streaming verdict goes first: a mid-run abort also leaves the
     // workload incomplete, and the violation is the interesting reason.
     const obs::StreamingReport& live = auditor->finish();
-    report.stream_windows += live.windows;
     if (live.verdict == obs::StreamVerdict::kViolation) {
       std::ostringstream reason;
       reason << "streaming auditor violation";
@@ -231,8 +230,7 @@ void write_report(std::ostream& out, const ChaosParams& params,
       << " executions, " << report.passed << " passed, "
       << report.failures.size() << " failed\n";
   if (params.stream) {
-    out << "  stream: windows=" << report.stream_windows
-        << " mid_run_aborts=" << report.mid_run_aborts << "\n";
+    out << "  stream: mid_run_aborts=" << report.mid_run_aborts << "\n";
   }
   out << "  faults: drops=" << report.faults.drops
       << " duplicates=" << report.faults.duplicates

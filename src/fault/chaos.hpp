@@ -60,13 +60,11 @@ struct ChaosParams {
   std::size_t ops_per_process = 8;
 
   /// Attach a StreamingAuditor (obs/live.hpp) as each run's trace sink.
-  /// A window violation stops the simulator mid-run and fails the cell;
+  /// A violation stops the simulator mid-run and fails the cell;
   /// otherwise the live verdict is cross-checked against the post-hoc
   /// oracle, and any disagreement (including a live `inconclusive`) is a
   /// failure.
   bool stream = false;
-  /// Completed m-operations per streaming window (0 = auditor default).
-  std::size_t stream_window = 0;
   /// Deliberate protocol mutation (SystemConfig::mutation values) applied
   /// to every run whose protocol/broadcast the mutation is defined for;
   /// incompatible cells run unmutated. With `stream`, a mutated run that
@@ -90,9 +88,8 @@ struct ChaosReport {
   /// Aggregates across every execution.
   fault::FaultStats faults;
   fault::LinkStats link;
-  /// Streaming-mode aggregates (zero unless ChaosParams::stream).
-  std::size_t stream_windows = 0;
-  /// Runs the streaming auditor aborted before workload completion.
+  /// Runs the streaming auditor aborted before workload completion
+  /// (zero unless ChaosParams::stream).
   std::size_t mid_run_aborts = 0;
 
   bool ok() const { return failures.empty() && runs > 0; }

@@ -2,7 +2,7 @@
 //
 //   chaos [--smoke] [--seeds N] [--ops N] [--drop R[,R...]] [--dup R]
 //         [--protocols a,b,...] [--no-partition] [--base-seed N] [--batch]
-//         [--stream] [--stream-window N] [--mutation NAME]
+//         [--stream] [--mutation NAME]
 //
 // --stream attaches the live streaming auditor to every run and
 // cross-checks its verdict against the post-hoc oracle; --mutation
@@ -71,15 +71,13 @@ int main(int argc, char** argv) {
       params.batching = true;
     } else if (arg == "--stream") {
       params.stream = true;
-    } else if (arg == "--stream-window") {
-      params.stream_window = std::stoul(next());
     } else if (arg == "--mutation") {
       params.mutation = next();
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: chaos [--smoke] [--seeds N] [--ops N] [--objects N]\n"
                 << "             [--drop R,R,...] [--dup R] [--protocols a,b,...]\n"
                 << "             [--no-partition] [--base-seed N] [--batch]\n"
-                << "             [--stream] [--stream-window N] [--mutation NAME]\n";
+                << "             [--stream] [--mutation NAME]\n";
       return 0;
     } else {
       std::cerr << "unknown argument: " << arg << "\n";

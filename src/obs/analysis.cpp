@@ -165,7 +165,7 @@ const std::map<std::string, TraceEventType, std::less<>>& event_by_name() {
         TraceEventType::kOpRead,         TraceEventType::kOpWrite,
         TraceEventType::kBacklogSample,  TraceEventType::kBatchAssign,
         TraceEventType::kBatchFlush,     TraceEventType::kExecCommit,
-        TraceEventType::kExecAbort,      TraceEventType::kAuditWindow,
+        TraceEventType::kExecAbort,
     };
     std::map<std::string, TraceEventType, std::less<>> map;
     for (const TraceEventType type : kAll) map.emplace(to_string(type), type);

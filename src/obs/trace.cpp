@@ -29,7 +29,6 @@ std::string_view to_string(TraceEventType type) {
     case TraceEventType::kBatchFlush: return "batch_flush";
     case TraceEventType::kExecCommit: return "exec_commit";
     case TraceEventType::kExecAbort: return "exec_abort";
-    case TraceEventType::kAuditWindow: return "audit_window";
   }
   MOCC_ASSERT_MSG(false, "unknown trace event type");
   return "unknown";

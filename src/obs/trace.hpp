@@ -105,11 +105,6 @@ enum class TraceEventType : std::uint8_t {
   /// the abort was observed, node=worker, kind=reason (0=lock-spin
   /// budget, 1=read-set validation), id=attempt number aborted.
   kExecAbort,
-  /// Streaming-auditor window cut (obs::StreamingAuditor). time=latest
-  /// response in the window, kind=history size checked (members +
-  /// ghosts), id=window number, arg=verdict (0=passed, 1=violation,
-  /// 2=undecided exact check).
-  kAuditWindow,
 };
 
 /// Stable lowercase name used by the JSONL exporter ("message_send", ...).

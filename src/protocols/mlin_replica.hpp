@@ -35,6 +35,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 
 #include "abcast/abcast.hpp"
 #include "protocols/replica.hpp"
@@ -67,6 +68,11 @@ class MLinReplica final : public Replica {
     /// update — the delivery counter still advances, so the replica's
     /// copy and timestamps go quietly stale.
     bool mutate_skip_first_foreign = false;
+    /// Some replica of the run carries that mutation: a full query reply
+    /// whose timestamp is incomparable with the accumulated copy's is
+    /// possible, and the lexicographically largest copy wins instead of
+    /// the comparability assertion firing.
+    bool peers_skip_delivery = false;
   };
 
   MLinReplica(std::size_t num_objects, std::unique_ptr<abcast::AtomicBroadcast> abcast,
@@ -87,7 +93,7 @@ class MLinReplica final : public Replica {
 
  private:
   void on_deliver(sim::Context& ctx, sim::NodeId origin,
-                  const std::vector<std::uint8_t>& payload);
+                  std::span<const std::uint8_t> payload);
   void on_query(sim::Context& ctx, const sim::Message& message,
                 std::uint32_t resp_kind);
   /// Decodes a kQueryResp[Batch] into the reply_* buffers; returns its

@@ -43,7 +43,7 @@ MSeqReplica::MSeqReplica(std::size_t num_objects,
 
 void MSeqReplica::on_start(sim::Context& ctx) {
   abcast_->set_deliver([this](sim::Context& live_ctx, sim::NodeId origin,
-                              const std::vector<std::uint8_t>& payload) {
+                              std::span<const std::uint8_t> payload) {
     on_deliver(live_ctx, origin, payload);
   });
   abcast_->set_reliable_link(reliable_link());
@@ -84,7 +84,7 @@ void MSeqReplica::invoke(sim::Context& ctx, mscript::Program program,
 }
 
 void MSeqReplica::on_deliver(sim::Context& ctx, sim::NodeId origin,
-                             const std::vector<std::uint8_t>& payload) {
+                             std::span<const std::uint8_t> payload) {
   // (A2): apply the m-operation to the local copy; bump versions of the
   // objects written; respond if we are the origin.
   util::ByteReader in(payload);

@@ -23,6 +23,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 
 #include "abcast/abcast.hpp"
 #include "protocols/replica.hpp"
@@ -64,7 +65,7 @@ class MSeqReplica final : public Replica {
 
  private:
   void on_deliver(sim::Context& ctx, sim::NodeId origin,
-                  const std::vector<std::uint8_t>& payload);
+                  std::span<const std::uint8_t> payload);
 
   std::size_t num_objects_;
   std::unique_ptr<abcast::AtomicBroadcast> abcast_;

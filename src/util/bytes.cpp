@@ -28,7 +28,7 @@ void ByteWriter::put_string(std::string_view s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void ByteWriter::put_bytes(const std::vector<std::uint8_t>& v) {
+void ByteWriter::put_bytes(std::span<const std::uint8_t> v) {
   put_u32(static_cast<std::uint32_t>(v.size()));
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
@@ -55,11 +55,16 @@ std::string ByteReader::get_string() {
 }
 
 std::vector<std::uint8_t> ByteReader::get_bytes() {
+  const std::span<const std::uint8_t> bytes = get_bytes_view();
+  return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+}
+
+std::span<const std::uint8_t> ByteReader::get_bytes_view() {
   const std::uint32_t len = get_u32();
   MOCC_ASSERT_MSG(len <= remaining(), "message underflow");
-  const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(pos_);
+  const std::span<const std::uint8_t> bytes = buf_.subspan(pos_, len);
   pos_ += len;
-  return std::vector<std::uint8_t>(first, first + static_cast<std::ptrdiff_t>(len));
+  return bytes;
 }
 
 void ByteReader::get_u64_vector(std::vector<std::uint64_t>& out) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +23,9 @@ inline constexpr std::size_t encoded_size(std::string_view s) { return 4 + s.siz
 template <typename T>
 constexpr std::size_t encoded_size(const std::vector<T>& v) {
   return 4 + sizeof(T) * v.size();
+}
+inline constexpr std::size_t encoded_size(std::span<const std::uint8_t> v) {
+  return 4 + v.size();
 }
 
 class ByteWriter {
@@ -41,7 +45,7 @@ class ByteWriter {
   void put_i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
   void put_string(std::string_view s);
   /// Same wire form as put_string: a u32 length, then the bytes.
-  void put_bytes(const std::vector<std::uint8_t>& v);
+  void put_bytes(std::span<const std::uint8_t> v);
   void put_u64_vector(const std::vector<std::uint64_t>& v);
   void put_i64_vector(const std::vector<std::int64_t>& v);
   void put_u32_vector(const std::vector<std::uint32_t>& v);
@@ -69,6 +73,8 @@ class ByteWriter {
 /// allocated for it.
 class ByteReader {
  public:
+  /// Reads `buf`, which must outlive the reader.
+  explicit ByteReader(std::span<const std::uint8_t> buf) : buf_(buf) {}
   explicit ByteReader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
 
   std::uint8_t get_u8() { return get_le<std::uint8_t>(); }
@@ -78,6 +84,8 @@ class ByteReader {
   std::string get_string();
   /// Reads what put_bytes (or put_string) wrote, without a string copy.
   std::vector<std::uint8_t> get_bytes();
+  /// The same bytes without any copy: a view into the reader's buffer.
+  std::span<const std::uint8_t> get_bytes_view();
   std::vector<std::uint64_t> get_u64_vector();
   std::vector<std::int64_t> get_i64_vector();
   std::vector<std::uint32_t> get_u32_vector();
@@ -102,7 +110,7 @@ class ByteReader {
     return v;
   }
 
-  const std::vector<std::uint8_t>& buf_;
+  std::span<const std::uint8_t> buf_;
   std::size_t pos_ = 0;
 };
 

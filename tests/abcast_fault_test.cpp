@@ -42,7 +42,7 @@ class FaultyAbcastHost final : public sim::Actor {
     });
     layer_->set_reliable_link(&link_);
     layer_->set_deliver([this](sim::Context& ctx, sim::NodeId origin,
-                               const std::vector<std::uint8_t>& payload) {
+                               std::span<const std::uint8_t> payload) {
       util::ByteReader r(payload);
       delivered.emplace_back(origin, r.get_u64());
       if (origin == ctx.self() && remaining_ > 0) broadcast_next(ctx);

@@ -25,7 +25,7 @@ class AbcastHarness final : public sim::Actor {
   AbcastHarness(std::unique_ptr<AtomicBroadcast> layer, int broadcasts)
       : layer_(std::move(layer)), broadcasts_(broadcasts) {
     layer_->set_deliver([this](sim::Context&, sim::NodeId origin,
-                               const std::vector<std::uint8_t>& payload) {
+                               std::span<const std::uint8_t> payload) {
       util::ByteReader r(payload);
       delivered.emplace_back(origin, r.get_u64());
     });

@@ -148,6 +148,24 @@ TEST(MLin, AuditPassesUnderHeavyReorder) {
   }
 }
 
+// The skip-delivery mutant over several objects: its stale replica lags
+// on one object and leads on another, so full query replies can carry
+// incomparable timestamps. The run must still complete — Figure 6 keeps
+// the lexicographically largest copy — and a checker must reject it.
+TEST(MLin, SkipDeliveryOnSeveralObjectsCompletesAndFailsACheck) {
+  auto config = config_for("mlin", 3, 4);
+  config.seed = 31;
+  config.mutation = "skip-delivery";
+  System system(config);
+  WorkloadParams params;
+  params.ops_per_process = 50;
+  const auto report = system.run_workload(params);
+  ASSERT_EQ(report.queries + report.updates, 3u * params.ops_per_process);
+  const auto fast = system.check_fast(Condition::kMLinearizability);
+  const bool fast_ok = fast.constraint_holds && fast.legal && fast.admissible;
+  EXPECT_FALSE(fast_ok && system.audit().ok) << "a skip-delivery run passed every checker";
+}
+
 TEST(MLin, NarrowRepliesProduceEquivalentResults) {
   // §5.2's optimization must not change any outcome: run the same
   // scripted workload on both variants and compare histories.

@@ -179,10 +179,8 @@ TEST(TimeSeries, FinalSampleByteMatchesEndOfRunExport) {
   std::ostringstream out;
   Registry registry;
   TimeSeriesWriter writer(out);
-  StreamingAuditor auditor(exec::stream_options(config));
-  const StreamingReport& report =
-      exec::stream_execution(result, auditor, &writer, &registry,
-                             /*sample_every=*/4096);
+  const StreamingReport report =
+      exec::stream_execution(result, &writer, &registry, /*sample_every=*/4096);
   ASSERT_TRUE(report.ok()) << report.to_string();
   ASSERT_EQ(report.mops, result.stats.committed);
   ASSERT_GT(writer.samples(), 1u);

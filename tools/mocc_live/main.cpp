@@ -9,8 +9,8 @@
 //   mocc_live --selftest              # live-vs-post-hoc agreement sweep
 //
 // The report shows throughput (m-operations per 1000 time units between
-// samples), streaming-audit window verdicts, and trace-sink drop
-// accounting. Exit status mirrors the stream's final audit_verdict
+// samples), the streaming audit's pending m-operations (completed, verdict
+// not final yet) and verdict, and trace-sink drop accounting. Exit status mirrors the stream's final audit_verdict
 // gauge: 0 ok, 1 violation, 3 inconclusive (2 is reserved for usage
 // errors, matching the other CLIs).
 #include <chrono>
@@ -59,7 +59,6 @@ void print_usage(const std::string& program) {
       << "  --protocol=NAME    --demo protocol (default mlin)\n"
       << "  --broadcast=NAME   --demo broadcast: sequencer (default) | isis\n"
       << "  --mutation=NAME    --demo protocol mutation (must be caught)\n"
-      << "  --window=N         --demo streaming window (default 512)\n"
       << "  --objects=N        --demo object count (default 8)\n"
       << "  --ops=N            --demo m-operations per process (default 40)\n"
       << "  --seed=N           --demo seed (default 42)\n"
@@ -80,8 +79,7 @@ std::string verdict_cell(double verdict) {
 /// time).
 std::size_t render_points(const TimeSeriesFile& series, std::size_t from,
                           bool header) {
-  mocc::util::Table table({"seq", "t", "mops", "ops/kt", "win ok", "win fail",
-                           "win undec", "drops", "verdict"});
+  mocc::util::Table table({"seq", "t", "mops", "ops/kt", "pending", "drops", "verdict"});
   for (std::size_t i = from; i < series.points.size(); ++i) {
     const TimeSeriesPoint& p = series.points[i];
     double rate = 0.0;
@@ -98,9 +96,7 @@ std::size_t render_points(const TimeSeriesFile& series, std::size_t from,
                    mocc::util::Table::num(p.t),
                    mocc::util::Table::num(p.value("counters/audit_mops"), 0),
                    mocc::util::Table::num(rate),
-                   mocc::util::Table::num(p.value("counters/audit_windows_passed"), 0),
-                   mocc::util::Table::num(p.value("counters/audit_windows_failed"), 0),
-                   mocc::util::Table::num(p.value("counters/audit_windows_undecided"), 0),
+                   mocc::util::Table::num(p.value("gauges/audit_pending"), 0),
                    mocc::util::Table::num(drops, 0),
                    verdict_cell(p.value("gauges/audit_verdict"))});
   }
@@ -131,11 +127,8 @@ int summarize(const TimeSeriesFile& series) {
                          last.value("counters/trace_spans_dropped");
   std::cout << "\nstream health: " << series.points.size() << " samples, "
             << last.value("counters/audit_mops") << " m-operations audited, "
-            << last.value("counters/audit_windows") << " windows ("
-            << last.value("counters/audit_windows_passed") << " ok, "
-            << last.value("counters/audit_windows_failed") << " failed, "
-            << last.value("counters/audit_windows_undecided") << " undecided), "
-            << dropped << " sink drops\n"
+            << last.value("gauges/audit_pending") << " pending, " << dropped
+            << " sink drops\n"
             << "final verdict: " << verdict_cell(verdict) << "\n";
   if (verdict == 1.0) return 1;
   if (verdict != 0.0) return 3;
@@ -208,7 +201,6 @@ struct DemoOptions {
   std::string mutation;
   std::size_t objects = 8;
   std::size_t ops = 40;
-  std::size_t window = 0;  // 0 = auditor default
   std::uint64_t seed = 42;
 };
 
@@ -230,7 +222,7 @@ int run_demo(const DemoOptions& demo) {
 
   mocc::obs::StreamingAuditorOptions live_options;
   live_options.condition = mocc::api::claimed_condition(demo.protocol);
-  if (demo.window != 0) live_options.window = demo.window;
+  live_options.processes = config.num_processes;
   mocc::obs::StreamingAuditor auditor(live_options);
 
   std::ofstream out(demo.out, std::ios::binary | std::ios::trunc);
@@ -292,7 +284,7 @@ SelftestRun selftest_run(const std::string& protocol,
   const Condition condition = mocc::api::claimed_condition(protocol);
   mocc::obs::StreamingAuditorOptions live_options;
   live_options.condition = condition;
-  live_options.window = 8;  // several cuts even on small runs
+  live_options.processes = config.num_processes;
   mocc::obs::StreamingAuditor auditor(live_options);
   mocc::obs::RingBufferSink ring(std::size_t{1} << 18);
   auditor.set_downstream(&ring);
@@ -363,7 +355,7 @@ int run_selftest() {
   }
 
   // Mutated runs: soundness per run (a live violation implies the
-  // post-hoc audit also rejects — the window projection never invents
+  // post-hoc audit also rejects — the streaming check never invents
   // violations), and at least one mid-stream catch across the seeds so
   // the leg cannot pass vacuously. seq-swap is excluded here: its
   // random-schedule manifestations are usually protocol-internal
@@ -418,7 +410,6 @@ int main(int argc, char** argv) {
   demo_options.protocol = args.get_string("protocol", demo_options.protocol);
   demo_options.broadcast = args.get_string("broadcast", demo_options.broadcast);
   demo_options.mutation = args.get_string("mutation", "");
-  demo_options.window = static_cast<std::size_t>(args.get_int("window", 0));
   demo_options.objects = static_cast<std::size_t>(
       args.get_int("objects", static_cast<std::int64_t>(demo_options.objects)));
   demo_options.ops = static_cast<std::size_t>(
