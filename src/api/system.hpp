@@ -218,7 +218,7 @@ class System {
   /// Asks the simulator to stop before its next event; the current
   /// run() returns early and stays stopped (see Simulator::request_stop).
   /// A streaming auditor's violation callback uses this to abort a run
-  /// the moment a window fails.
+  /// the moment the stream finds a violation.
   void request_stop();
 
  private:

@@ -344,10 +344,7 @@ ExploreResult Explorer::run_all() {
         ++stats_.schedules_checked;
         ScheduleVerdict verdict =
             check_terminal_schedule(system, cfg_, *completed_);
-        if (!verdict.decided) {
-          ++stats_.exact_undecided;
-          budget_hit_ = true;
-        } else if (!verdict.violation.empty()) {
+        if (!verdict.violation.empty()) {
           if (cfg_.history_violations_only && !verdict.history_level) {
             ++stats_.audit_only_violations;
           } else {
@@ -423,12 +420,8 @@ ScheduleVerdict check_terminal_schedule(const api::System& system,
   // edges stay legal (e.g. the skip-delivery mutation).
   const core::Verdict history_verdict = core::check_history(
       system.history(), api::claimed_condition(config.protocol),
-      system.recorder().ww_ranks(), config.exact_states_budget);
-  if (history_verdict.outcome == core::Outcome::kUndecided) {
-    verdict.decided = false;
-    return verdict;
-  }
-  if (history_verdict.violation()) {
+      system.recorder().ww_ranks(), /*exact_budget=*/0);
+  if (!history_verdict.ok() || !history_verdict.fast.has_value()) {
     verdict.violation = history_verdict.detail;
     verdict.history_level = true;
     return verdict;

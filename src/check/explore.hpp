@@ -2,8 +2,8 @@
 //
 // The chaos harness and trace audits sample ~100 seeds per
 // configuration; the paper's claims are universally quantified. This
-// library turns the per-schedule checkers (P5.x audit, Theorem 7 fast
-// check, the exact admissibility search) into a small-scope *verifier*:
+// library turns the per-schedule checkers (the Theorem 7 fast check over
+// the recorded ~ww ranks, the P5.x audit) into a small-scope *verifier*:
 // it drives the deterministic Simulator in controlled mode
 // (sim::ScheduleController), enumerating every message-delivery
 // interleaving of a small configuration by depth-first search over
@@ -79,16 +79,13 @@ struct ExploreConfig {
   std::uint64_t max_schedules = 1u << 20;
   /// Maximum choice points along one schedule before it is truncated.
   std::size_t max_depth = 4096;
-  /// State budget for the exact checker on terminal histories that carry
-  /// no recorded ~ww (the locking baseline).
-  std::uint64_t exact_states_budget = 2'000'000;
 
   /// Some mutations first surface as protocol-internal findings (P5.x
   /// timestamp invariants) on schedules whose recorded history is still
   /// admissible — e.g. a skipped delivery leaves timestamps stale before
   /// any read observes the lost write. When set, such findings are
   /// counted (stats.audit_only_violations) but exploration continues
-  /// until a schedule whose HISTORY is inadmissible (fast/exact check,
+  /// until a schedule whose HISTORY is inadmissible (fast check,
   /// stuckness) — the kind a rebuilt-from-trace audit (trace_query
   /// --audit) reproduces.
   bool history_violations_only = false;
@@ -142,9 +139,6 @@ struct ExploreStats {
   /// Lookups whose primary (possibly masked) hash matched an entry whose
   /// secondary chain disagreed — detected, never pruned on.
   std::uint64_t hash_collisions = 0;
-  /// Terminal schedules the exact checker could not decide within
-  /// exact_states_budget (forces complete=false, never a violation).
-  std::uint64_t exact_undecided = 0;
   /// Protocol-internal (P5.x) violations skipped over because
   /// history_violations_only was set.
   std::uint64_t audit_only_violations = 0;
@@ -179,12 +173,10 @@ std::vector<std::vector<mscript::Program>> fixed_workload(const ExploreConfig& c
 /// explorer and by replay so a counterexample re-judges under exactly the
 /// checks that condemned it.
 struct ScheduleVerdict {
-  /// False only when the exact checker exhausted exact_states_budget.
-  bool decided = true;
   /// Empty = admissible; otherwise the violation reason.
   std::string violation;
   /// True when the violation is visible in the recorded history alone
-  /// (fast/exact admissibility, stuckness) — i.e. reproducible by a
+  /// (admissibility, stuckness) — i.e. reproducible by a
   /// rebuilt-from-trace audit. False for protocol-internal (P5.x
   /// timestamp) findings.
   bool history_level = false;
@@ -192,9 +184,10 @@ struct ScheduleVerdict {
 
 /// Judges a quiescent system driven with fixed_workload(config):
 /// completion (stuck schedules are violations), then core::check_history
-/// of the protocol's claimed condition (the Theorem-7 fast check over
-/// the abcast ranks, or for the locking baselines the exact search
-/// bounded by exact_states_budget), then the P5.x audit for auditable
+/// of the protocol's claimed condition with no exact budget, so the
+/// Theorem-7 fast check over the recorded ranks (abcast positions or
+/// lock points) decides and a verdict from anywhere else (an update
+/// without a rank) is a violation, then the P5.x audit for auditable
 /// protocols.
 ScheduleVerdict check_terminal_schedule(const api::System& system,
                                         const ExploreConfig& config,

@@ -101,7 +101,6 @@ std::string format_counterexample(const Counterexample& counterexample) {
   out << "processes " << config.num_processes << "\n";
   out << "objects " << config.num_objects << "\n";
   out << "ops " << config.ops_per_process << "\n";
-  out << "exact-budget " << config.exact_states_budget << "\n";
   // Emitted only when on: unbatched files stay byte-identical to v1
   // writers, and v1 readers of unbatched files keep working.
   if (config.batching) out << "batching 1\n";
@@ -175,12 +174,10 @@ bool parse_counterexample(const std::string& text, Counterexample& out,
         out.config.num_objects = static_cast<std::size_t>(value);
       } else if (key == "ops") {
         out.config.ops_per_process = static_cast<std::size_t>(value);
-      } else if (key == "exact-budget") {
-        out.config.exact_states_budget = value;
-      } else {
+      } else if (key == "choices") {
         declared_choices = value;
         saw_choices_count = true;
-      }
+      }  // exact-budget: written by older builds, ignored
     } else if (key == "reason") {
       std::string rest;
       std::getline(fields >> std::ws, rest);
@@ -265,7 +262,6 @@ ReplayResult replay(const Counterexample& counterexample,
   result.faithful = true;
   ScheduleVerdict verdict =
       check_terminal_schedule(system, cfg, *completed);
-  result.decided = verdict.decided;
   result.violation = std::move(verdict.violation);
   result.history_level = verdict.history_level;
   return result;

@@ -23,7 +23,6 @@
 //   processes 2
 //   objects 2
 //   ops 2
-//   exact-budget 2000000
 //   reason P5.x audit failed: ...
 //   choices 17
 //   choice <enabled> <chosen> <seq> <from> <to> <kind> <payload_hash>
@@ -42,7 +41,8 @@ std::string format_counterexample(const Counterexample& counterexample);
 
 /// Parses the replay file format. Returns false (with `error` set) on an
 /// unsupported version line or any malformed field; budgets and toggles
-/// not present in the format keep their ExploreConfig defaults.
+/// not present in the format keep their ExploreConfig defaults. An
+/// `exact-budget` line, which older writers emitted, is read and ignored.
 bool parse_counterexample(const std::string& text, Counterexample& out,
                           std::string& error);
 
@@ -56,8 +56,6 @@ struct ReplayResult {
   /// Verdict of the replayed schedule (empty = admissible). A recorded
   /// violation that replays faithfully reproduces its reason here.
   std::string violation;
-  /// False only if the exact checker exhausted the file's exact-budget.
-  bool decided = true;
   /// Mirrors ScheduleVerdict::history_level for the replayed violation:
   /// true when it is visible in the recorded history alone and therefore
   /// reproducible by `trace_query --audit` on the emitted trace.

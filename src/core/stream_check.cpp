@@ -5,10 +5,8 @@
 #include <iterator>
 #include <limits>
 #include <sstream>
-#include <unordered_map>
 
 #include "core/fast_check.hpp"
-#include "core/history.hpp"
 
 namespace mocc::core {
 
@@ -104,7 +102,7 @@ std::size_t StreamCheck::retained() const {
 
 void StreamCheck::invoked(std::uint64_t key, Time time) {
   const std::pair entry{time, key};
-  if (halted() || rankless_ || keys_.contains(key) ||
+  if (halted() || keys_.contains(key) ||
       std::find(in_flight_.begin(), in_flight_.end(), entry) != in_flight_.end()) {
     return;
   }
@@ -119,21 +117,6 @@ void StreamCheck::completed(const StreamMop& mop) {
                                    [&mop](const auto& f) { return f.second == mop.key; });
   const bool announced = flying != in_flight_.end();
   if (announced) in_flight_.erase(flying);
-  if (!ranked_) {
-    // The first update decides how the stream is judged; the queries
-    // before it wait in the buffer.
-    if (rankless_ || !mop.ww.has_value()) {
-      buffered_.push_back(mop);
-      rankless_ = rankless_ || std::any_of(mop.ops.begin(), mop.ops.end(), [](const auto& op) {
-                    return op.type == OpType::kWrite;
-                  });
-      if (rankless_) in_flight_.clear();
-      return;
-    }
-    ranked_ = true;
-    for (const StreamMop& query : buffered_) arrive(query, true);
-    buffered_.clear();
-  }
   arrive(mop, announced);
   settle();
   if (halted() || !announced_) return;
@@ -197,7 +180,7 @@ void StreamCheck::arrive(const StreamMop& mop, bool announced) {
     return violate(cat("two m-operations claim ww rank ", u.ord - 1, " (", name(u.key), ")"));
   }
   if (u.ord == 0 && !u.writes.empty()) {
-    return undecided(cat(name(u.key), " writes without a ww rank in a ranked stream"));
+    return undecided(cat(name(u.key), " writes without a ww rank"));
   }
   for (const auto& [x, value] : u.writes) {
     Object& o = object(x);
@@ -314,7 +297,7 @@ void StreamCheck::settle_one(Node& u, std::uint32_t index) {
   for (const ObjectId x : u.objects) hi = std::max(hi, object(x).frontier.before(u.invoke));
   from_.clear();
   for (const StreamOp& read : u.reads) {
-    Value stored = options_.initial_value;
+    Value stored = 0;  // the initializing write's
     const Node* w = nullptr;
     if (read.writer != StreamOp::kInitialWriter) {
       w = writer_of(read.object, read.writer);
@@ -414,7 +397,6 @@ void StreamCheck::prune_object(Object& o) {
 void StreamCheck::finish() {
   if (finished_ || halted()) return;
   finished_ = true;
-  if (!ranked_) return judge_buffered();
   in_flight_.clear();
   settle();
   for (const std::uint32_t index : pending_) {
@@ -424,54 +406,6 @@ void StreamCheck::finish() {
                            name(read.writer), ", which never completed"));
     }
   }
-}
-
-void StreamCheck::judge_buffered() {
-  // History::add wants each process's m-operations in program order.
-  std::vector<const StreamMop*> order;
-  for (const StreamMop& mop : buffered_) order.push_back(&mop);
-  std::sort(order.begin(), order.end(), [](const StreamMop* a, const StreamMop* b) {
-    return std::pair{a->invoke, a->key} < std::pair{b->invoke, b->key};
-  });
-  std::unordered_map<std::uint64_t, MOpId> ids;
-  std::vector<Time> last(options_.processes, 0);
-  ObjectId objects = 1;
-  for (const StreamMop* mop : order) {
-    if (!ids.emplace(mop->key, static_cast<MOpId>(ids.size())).second) {
-      return violate(cat("two m-operations carry key ", mop->key));
-    }
-    if (last.size() <= mop->process) last.resize(mop->process + 1, 0);
-    if (last[mop->process] > mop->invoke || mop->invoke > mop->respond) {
-      return violate(cat("process ", mop->process, " subhistory not sequential at ",
-                         name(mop->key)));
-    }
-    last[mop->process] = mop->respond;
-    for (const StreamOp& op : mop->ops) objects = std::max(objects, op.object + 1);
-  }
-  History h(last.size(), objects);
-  WwRanks ranks;
-  for (const StreamMop* mop : order) {
-    std::vector<Operation> ops;
-    for (const StreamOp& op : mop->ops) {
-      const auto writer = ids.find(op.writer);
-      if (op.type == OpType::kWrite) {
-        ops.push_back(Operation::write(op.object, op.value));
-      } else if (op.writer == StreamOp::kInitialWriter || writer != ids.end()) {
-        ops.push_back(Operation::read(op.object, op.value,
-                                      writer == ids.end() ? kInitialMOp : writer->second));
-      } else {
-        return undecided(cat(name(mop->key), " reads x", op.object, " from ", name(op.writer),
-                             ", which never completed"));
-      }
-    }
-    h.add(MOperation(mop->process, std::move(ops), mop->invoke, mop->respond));
-    ranks.push_back(mop->ww);
-  }
-  buffered_.clear();
-  const Verdict verdict = check_history(h, options_.condition, ranks, options_.exact_budget,
-                                        options_.initial_value);
-  if (verdict.violation()) violate(verdict.detail);
-  if (verdict.outcome == Outcome::kUndecided) undecided(verdict.detail);
 }
 
 }  // namespace mocc::core

@@ -14,8 +14,8 @@
 // other x-writer ranks in (rank(β), hi(α)] (Lemma 6); the interval stays
 // open on x, so an x-writer completing later with a rank inside it — the
 // one backward edge of a completion-ordered stream — is the violation.
-// A stream with no rank (2PL) is buffered and judged by check_history in
-// finish().
+// Every simulated producer ranks its updates (abcast position or lock
+// point); an update without a rank leaves the stream undecided.
 //
 // invoked() announces each m-operation; an arrived one waits until every
 // m-operation invoked before it has arrived, so completions may arrive in
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/moperation.hpp"
-#include "core/relations.hpp"
 #include "core/types.hpp"
 #include "core/verdict.hpp"
 
@@ -63,7 +62,7 @@ struct StreamMop {
   std::uint64_t key = 0;
   Time invoke = 0;
   Time respond = 0;
-  std::optional<std::uint64_t> ww;  ///< ~ww rank (abcast position), if any
+  std::optional<std::uint64_t> ww;  ///< ~ww rank (abcast position or lock point)
   std::vector<StreamOp> ops;
 };
 
@@ -72,8 +71,6 @@ class StreamCheck {
   struct Options {
     Condition condition = Condition::kMLinearizability;
     std::size_t processes = 0;  ///< processes in the system; 0 when unknown
-    std::uint64_t exact_budget = 200'000;  ///< check_history's, rank-less streams
-    Value initial_value = 0;
   };
 
   explicit StreamCheck(Options options) : options_(options) {}
@@ -86,11 +83,11 @@ class StreamCheck {
   void finish();
 
   /// kViolation is final; kUndecided when the stream cannot be judged (a
-  /// writer that never completed, an exhausted exact budget).
+  /// writer that never completed, an update without a rank).
   Outcome outcome() const { return outcome_; }
   const std::string& detail() const { return detail_; }
   /// Completed m-operations whose verdict is not final yet.
-  std::size_t pending() const { return ranked_ ? pending_.size() : buffered_.size(); }
+  std::size_t pending() const { return pending_.size(); }
   /// State held beyond them: writer entries, open intervals, frontier
   /// steps, in-flight invocations, and keys and ranks above watermarks.
   std::size_t retained() const;
@@ -164,16 +161,12 @@ class StreamCheck {
   void record_read(ObjectId x, Ord lo, Ord hi);
   Ord bound(const Object& o) const;
   void prune_object(Object& o);
-  void judge_buffered();
 
   Options options_;
   Outcome outcome_ = Outcome::kOk;
   std::string detail_;
   bool stopped_ = false;
   bool finished_ = false;
-  bool ranked_ = false;    ///< the first update carried a rank
-  bool rankless_ = false;  ///< the first update carried none
-  std::vector<StreamMop> buffered_;  ///< before the first update, or rank-less
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_nodes_;

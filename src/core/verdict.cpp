@@ -31,8 +31,13 @@ Verdict check_history(const History& h, Condition condition, const WwRanks& ww_r
   }
 
   std::vector<std::pair<std::uint64_t, MOpId>> ranked;
+  bool writers_ranked = true;
   for (MOpId id = 0; id < ww_ranks.size(); ++id) {
-    if (ww_ranks[id].has_value()) ranked.emplace_back(*ww_ranks[id], id);
+    if (ww_ranks[id].has_value()) {
+      ranked.emplace_back(*ww_ranks[id], id);
+    } else if (h.mop(id).is_update()) {
+      writers_ranked = false;
+    }
   }
   std::sort(ranked.begin(), ranked.end());
   const auto twin = std::adjacent_find(ranked.begin(), ranked.end(), [](auto a, auto b) {
@@ -45,7 +50,7 @@ Verdict check_history(const History& h, Condition condition, const WwRanks& ww_r
   }
 
   const char* name = condition_name(condition);
-  if (!ranked.empty()) {
+  if (writers_ranked) {
     verdict.fast = sparse_fast_check(h, condition, ww_ranks);
     if (verdict.fast->admissible) {
       detail << name << ": admissible (Theorem 7 fast check)";
@@ -55,7 +60,8 @@ Verdict check_history(const History& h, Condition condition, const WwRanks& ww_r
     return conclude(Outcome::kViolation);
   }
   if (exact_budget == 0) {
-    detail << name << ": no ww order and an exact budget of 0, admissibility not searched";
+    detail << name << ": an update has no ww rank and the exact budget is 0, admissibility"
+           << " not searched";
     return conclude(Outcome::kOk);
   }
   AdmissibilityOptions options;

@@ -11,10 +11,10 @@
 // Verification per execution:
 //   - mseq / mlin variants: the P5.x audit (core/audit) — legality,
 //     ~ww admissibility, and the protocol-specific timestamp obligations.
-//   - locking: core::check_history against m-linearizability, which runs
-//     the exact admissibility search because the baseline records no
-//     abcast order — the generic exponential oracle is the only one that
-//     applies (workloads are kept small to keep it tractable).
+//   - locking / aggregate: core::check_history against m-linearizability
+//     with the lock-point ranks the baseline records as ~ww, so Theorem
+//     7's polynomial check decides; a verdict from anywhere else (an
+//     update without a rank) fails the run.
 //   - every protocol: no reliable-link retry budget exhaustion and no
 //     operation left incomplete.
 #pragma once
@@ -55,8 +55,7 @@ struct ChaosParams {
 
   std::size_t num_processes = 3;
   std::size_t num_objects = 6;
-  /// m-operations per process. Locking runs get min(this, 4) to keep the
-  /// exponential checker tractable.
+  /// m-operations per process.
   std::size_t ops_per_process = 8;
 
   /// Attach a StreamingAuditor (obs/live.hpp) as each run's trace sink.

@@ -118,7 +118,7 @@ void write_perfetto_json(std::ostream& out, const TraceFile& trace);
 /// reads-from. Ids must be dense 0..n-1 (they are the recorder's).
 struct RebuiltExecution {
   std::optional<core::History> history;  ///< empty on failure
-  core::WwRanks ww_ranks;  ///< abcast position per rebuilt id
+  core::WwRanks ww_ranks;  ///< ~ww rank (abcast position or lock point) per rebuilt id
   std::string error;       ///< set when history is empty
 };
 
@@ -130,17 +130,17 @@ RebuiltExecution rebuild_execution(const TraceFile& trace,
                                    std::size_t num_objects);
 
 /// Audit-from-trace: rebuild, then core::check_history of `condition`
-/// with the rebuilt abcast positions as ~ww ranks — the Theorem-7 fast
-/// check exactly as api::System::check_fast runs it from the recorder.
-/// Traces with no abcast order (2PL runs, mocc-check locking
-/// counterexamples) get the exact search, bounded by `exact_budget`
-/// states (0 skips it). An exhausted budget is not a violation: the
-/// audit passes with "undecided" in the detail.
+/// with the rebuilt ranks (abcast positions, 2PL lock points) as ~ww —
+/// the Theorem-7 fast check exactly as api::System::check_fast runs it
+/// from the recorder. A trace in which an update carries no rank (one
+/// written before 2PL runs recorded lock points) gets the exact search,
+/// bounded by `exact_budget` states (0 skips it). An exhausted budget is
+/// not a violation: the audit passes with "undecided" in the detail.
 struct TraceAudit {
   bool ok = false;
   std::size_t mops = 0;
   std::string detail;  ///< why !ok, or a one-line verdict
-  std::optional<core::FastCheckResult> fast;  ///< set when ~ww present
+  std::optional<core::FastCheckResult> fast;  ///< set when every update is ranked
 };
 
 TraceAudit audit_from_trace(const TraceFile& trace, core::Condition condition,

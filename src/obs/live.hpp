@@ -13,7 +13,7 @@
 //
 // Verdicts form a one-way lattice: ok < inconclusive < violation. A
 // dropped trace event, a read from a writer that never completed, or an
-// exhausted exact budget on a rank-less (2PL) stream moves the verdict to
+// update whose span carries no ~ww rank moves the verdict to
 // `inconclusive` — the truncation-gate contract of obs::analysis — and
 // nothing moves it back down.
 #pragma once
@@ -39,8 +39,8 @@ enum class StreamVerdict : std::uint8_t {
 
 std::string_view to_string(StreamVerdict verdict);
 
-/// The check's options: condition, processes (needed under m-sequential
-/// consistency to release writers), exact budget, initial value.
+/// The check's options: condition, and processes (needed under
+/// m-sequential consistency to release writers).
 struct StreamingAuditorOptions : core::StreamCheck::Options {
   std::size_t window = 512;  ///< inert: the verdict has no windows
 };

@@ -98,6 +98,7 @@ void LockingReplica::invoke(sim::Context& ctx, mscript::Program program,
 
 void LockingReplica::request_next_lock(sim::Context& ctx, PendingOp& op) {
   if (op.next_lock == op.locks.size()) {
+    op.lock_point = ctx.now();
     op.phase = Phase::kReading;
     start_read_phase(ctx, op);
     return;
@@ -299,12 +300,20 @@ void LockingReplica::on_commit_ack(sim::Context& ctx, std::uint64_t token) {
   PendingOp done = std::move(op);
   pending_.erase(it);
   const core::Time response_time = ctx.now();
-  trace_mop_span(ctx, done.trace, done.id, done.invoke, done.program.is_update(),
-                 std::nullopt, done.ops);
+  // An update's ~ww rank is its lock point, ties broken by process. Two
+  // updates of this process with one lock point (invoked in the tick the
+  // first completed, with every lock and object local) stay unranked.
+  std::optional<std::uint64_t> rank;
+  if (done.program.is_update()) {
+    const std::uint64_t at = done.lock_point * num_nodes_ + ctx.self();
+    if (!last_rank_.has_value() || at > *last_rank_) rank = last_rank_ = at;
+  }
+  trace_mop_span(ctx, done.trace, done.id, done.invoke, done.program.is_update(), rank,
+                 done.ops);
   // No version-vector timestamps: the locking baseline is not a §5
-  // protocol; its histories are checked with the generic checkers.
+  // protocol, so it has no P5.x audit.
   recorder_.complete(done.id, std::move(done.ops), response_time,
-                     util::VersionVector(num_objects_), std::nullopt);
+                     util::VersionVector(num_objects_), rank);
   trace_mop(ctx, obs::TraceEventType::kMOpRespond, done.id, done.invoke);
   done.on_response(
       InvocationOutcome{done.id, done.return_value, done.invoke, response_time});

@@ -12,6 +12,18 @@
 // lock) where the §5 protocols pay a single atomic broadcast, and
 // conflicting m-operations queue behind each other at the homes.
 //
+// Each update declares its ~ww rank where the §5 protocols declare their
+// abcast position (the recorder's ww_seq and the root `mop` span):
+// lock_point × num_nodes + process, where lock_point is the virtual time
+// at which its client was granted its last lock. Under strict 2PL the
+// lock-point order is a serialization order (Bernstein, Hadzilacos &
+// Goodman 1987, ch. 3). Every remote delivery takes at least one tick and
+// a process invokes at least one tick after its last response, so lock
+// points strictly increase along process order, reads-from, real time
+// and every conflicting pair; only unrelated m-operations tie, and the
+// process breaks the tie. Every verdict on these histories is therefore
+// Theorem 7's polynomial check (DESIGN.md §7).
+//
 // The same replica also implements the *aggregate object* strawman from
 // the paper's introduction ("this technique will force all registers to
 // be treated as one object; this results in loss of locality and
@@ -111,6 +123,7 @@ class LockingReplica final : public Replica {
     std::vector<LockId> locks;
     std::set<LockId> exclusive_locks;
     std::size_t next_lock = 0;
+    sim::SimTime lock_point = 0;  ///< when the last lock was granted here
     // Snapshot of the read set.
     std::map<core::ObjectId, core::Value> snapshot_values;
     std::map<core::ObjectId, core::MOpId> snapshot_writers;
@@ -148,6 +161,7 @@ class LockingReplica final : public Replica {
   std::map<LockId, LockState> home_locks_;
 
   std::map<std::uint64_t, PendingOp> pending_;  // token == recorder id
+  std::optional<std::uint64_t> last_rank_;      // of this process's updates
 };
 
 }  // namespace mocc::protocols

@@ -44,7 +44,8 @@ struct InvocationRecord {
   std::vector<core::Operation> ops;
   /// ts(finish(α)) for timestamp-based protocols; empty otherwise.
   util::VersionVector timestamp;
-  /// Position in the atomic broadcast total order (updates only).
+  /// ~ww rank (updates only): the position in the atomic broadcast total
+  /// order, or the 2PL lock point (locking_replica.hpp).
   std::optional<std::uint64_t> ww_seq;
   bool completed = false;
 };
@@ -81,9 +82,8 @@ class ExecutionRecorder {
   core::ProtocolTrace build_trace(const core::History& h,
                                   bool include_process_order) const MOCC_EXCLUDES(mu_);
 
-  /// Each m-operation's atomic broadcast position (nullopt for queries):
-  /// the ~ww ranks a Theorem-7 check needs on top of the condition's
-  /// base order.
+  /// Each m-operation's ww_seq (nullopt for queries): the ~ww ranks a
+  /// Theorem-7 check needs on top of the condition's base order.
   core::WwRanks ww_ranks() const MOCC_EXCLUDES(mu_);
 
   /// Each m-operation's ts(α), all zeros where the protocol records none:

@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "api/system.hpp"
+#include "core/verdict.hpp"
 #include "mscript/library.hpp"
 
 namespace mocc::api {
@@ -203,6 +204,12 @@ TEST_P(ConsistencySweep, EveryProtocolMeetsItsClaimedCondition) {
   ASSERT_TRUE(exact.completed);
   EXPECT_TRUE(exact.admissible)
       << p.protocol << "/" << p.broadcast << "/" << p.delay << " seed " << p.seed;
+  // Every protocol ranks its updates (abcast position or lock point), so
+  // the Theorem-7 check decides on the recorded ranks, with no budget.
+  const core::Verdict verdict =
+      core::check_history(system.history(), claimed, system.recorder().ww_ranks(), 0);
+  EXPECT_TRUE(verdict.ok()) << verdict.detail;
+  EXPECT_TRUE(verdict.fast.has_value()) << verdict.detail;
 
   if (system.supports_audit()) {
     EXPECT_TRUE(system.audit().ok);

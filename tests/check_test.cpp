@@ -26,7 +26,6 @@ bool same_stats(const ExploreStats& a, const ExploreStats& b) {
          a.depth_truncations == b.depth_truncations &&
          a.distinct_states == b.distinct_states &&
          a.hash_collisions == b.hash_collisions &&
-         a.exact_undecided == b.exact_undecided &&
          a.audit_only_violations == b.audit_only_violations;
 }
 
@@ -53,16 +52,6 @@ TEST(ExploreBudgetTest, DepthBudgetTruncatesWithoutViolations) {
   EXPECT_GT(result.stats.depth_truncations, 0u);
   // The truncating choice point itself is counted before the cut.
   EXPECT_LE(result.stats.max_depth_seen, 3u);
-}
-
-TEST(ExploreBudgetTest, TinyExactBudgetIsUndecidedNotViolating) {
-  ExploreConfig config;
-  config.protocol = "locking";
-  config.exact_states_budget = 1;
-  const ExploreResult result = explore(config);
-  EXPECT_FALSE(result.complete);
-  EXPECT_FALSE(result.violation.has_value());
-  EXPECT_GT(result.stats.exact_undecided, 0u);
 }
 
 // --- determinism and reduction soundness ------------------------------
@@ -112,6 +101,21 @@ TEST(ExploreTest, BatchingFlagRoundTripsThroughTheReplayFile) {
   EXPECT_EQ(unbatched.find("batching"), std::string::npos);
   ASSERT_TRUE(parse_counterexample(unbatched, parsed, error)) << error;
   EXPECT_FALSE(parsed.config.batching);
+}
+
+// Files written while mocc-check still had an exact-search budget carry
+// an `exact-budget` line: it still parses, and changes nothing.
+TEST(ExploreTest, ReplayFilesWithAnExactBudgetLineStillLoad) {
+  Counterexample original;
+  original.config.protocol = "locking";
+  original.reason = "synthetic";
+  std::string text = format_counterexample(original);
+  EXPECT_EQ(text.find("exact-budget"), std::string::npos);
+  text.insert(text.find("reason "), "exact-budget 2000000\n");
+  Counterexample parsed;
+  std::string error;
+  ASSERT_TRUE(parse_counterexample(text, parsed, error)) << error;
+  EXPECT_EQ(format_counterexample(parsed), format_counterexample(original));
 }
 
 TEST(ExploreTest, NaiveAndReducedExplorationAgreeOnTheVerdict) {

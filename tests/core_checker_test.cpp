@@ -356,6 +356,14 @@ History stale_read() {
   return h;
 }
 
+/// Two queries of x, both from the initial write: no update at all.
+History update_free() {
+  History h(2, 1);
+  h.add(mop(0, {Operation::read(0, 0, kInitialMOp)}, 1, 2));
+  h.add(mop(1, {Operation::read(0, 0, kInitialMOp)}, 1, 3));
+  return h;
+}
+
 /// w(x)1 completes, then a read returns x's initial value.
 History overwritten_init_read() {
   History h(2, 1);
@@ -393,6 +401,13 @@ TEST(CheckHistory, ContractTable) {
        "Theorem 7 fast check: m1 reads x0 from init, but m0 writes x0 and init ~> m0 ~> m1"},
       {"duplicate rank", racing_writes_then_read(), WwRanks{4, 4, std::nullopt},
        1000, Outcome::kViolation, "two m-operations claim ww rank 4"},
+      // Theorem 7 needs every update ranked: with w(x)2 unranked the two
+      // writes are not ordered, and only the exact search may judge.
+      {"partially ranked", racing_writes_then_read(), WwRanks{0, std::nullopt, std::nullopt},
+       1000, Outcome::kOk, "admissible (exact check"},
+      // Every update is ranked when there is none: the fast check decides
+      // without a budget.
+      {"update-free", update_free(), WwRanks(2), 0, Outcome::kOk, "Theorem 7"},
       {"unranked and inadmissible", stale_read(), WwRanks(3), 1000,
        Outcome::kViolation, "exact check"},
       // Admissible, but the search needs more than one state to show it
@@ -409,11 +424,17 @@ TEST(CheckHistory, ContractTable) {
         check_history(row.history, Condition::kMLinearizability, row.ranks, row.budget);
     EXPECT_EQ(verdict.outcome, row.expected) << verdict.detail;
     EXPECT_NE(verdict.detail.find(row.detail), std::string::npos) << verdict.detail;
-    const bool ranked = std::any_of(row.ranks.begin(), row.ranks.end(),
-                                    [](const auto& rank) { return rank.has_value(); });
+    bool writers_ranked = true;
+    for (MOpId id = 0; id < row.history.size(); ++id) {
+      writers_ranked = writers_ranked &&
+                       (row.ranks[id].has_value() || row.history.mop(id).is_query());
+    }
     if (verdict.fast.has_value()) {
-      EXPECT_TRUE(ranked);
+      EXPECT_TRUE(writers_ranked);
       EXPECT_FALSE(verdict.exact.has_value());
+    }
+    if (verdict.exact.has_value()) {
+      EXPECT_FALSE(writers_ranked);
     }
     if (verdict.ok() && verdict.fast.has_value()) {
       ASSERT_TRUE(verdict.fast->witness.has_value());

@@ -194,7 +194,7 @@ struct MutationCase {
   const char* delay = "lan";
 };
 
-TEST(StreamingAuditor, MutationsCaughtAcrossSeedsAndWindows) {
+TEST(StreamingAuditor, MutationsCaughtAcrossSeeds) {
   const MutationCase cases[] = {
       {"mseq", "skip-delivery", 1},
       {"mlin", "skip-delivery", 1},
@@ -303,11 +303,12 @@ TEST(StreamingAuditor, ColdWriterOutlivesRetentionHorizon) {
 // writers, open intervals, frontier steps and in-flight invocations, runs
 // of keys and ranks, and the m-operations it waits on — stays under a
 // bound that does not grow with the stream. Under m-linearizability that
-// holds for the whole stream. Under m-sequential consistency the floor
-// is the lowest last hi over the processes, so a process that has
-// stopped invoking pins it (any later m-operation of it could still
-// legally read every writer above): the mseq stream is measured while
-// every process still has m-operations to invoke.
+// holds for the whole stream, abcast-ranked (mlin) or lock-point-ranked
+// (locking). Under m-sequential consistency the floor is the lowest last
+// hi over the processes, so a process that has stopped invoking pins it
+// (any later m-operation of it could still legally read every writer
+// above): the mseq stream is measured while every process still has
+// m-operations to invoke.
 
 /// Forwards to the auditor and keeps the largest retained() seen after
 /// each completed m-operation while it measures.
@@ -356,7 +357,8 @@ TEST(StreamingAuditor, RetainedStateStaysBoundedOnLongStreams) {
     const char* broadcast;
     bool whole_stream;
   };
-  for (const Case c : {Case{"mlin", "sequencer", true}, Case{"mseq", "isis", false}}) {
+  for (const Case c : {Case{"mlin", "sequencer", true}, Case{"mseq", "isis", false},
+                       Case{"locking", "sequencer", true}}) {
     const api::SystemConfig config = long_stream_config(c.protocol, c.broadcast);
     StreamingAuditorOptions options;
     options.condition = api::claimed_condition(c.protocol);
@@ -433,21 +435,29 @@ TEST(StreamingGate, StreamAddsNoMoreThanCheckFast) {
       << "the auditor adds " << added[1] << " s, check_fast takes " << check_fast[1] << " s";
 }
 
-// An exhausted exact budget is undecided: the stream ends inconclusive
-// (2PL traces carry no abcast order, so the buffered stream takes the
-// exact search in finish()).
-TEST(StreamingAuditor, UndecidedWindowMakesStreamInconclusive) {
-  StreamingAuditorOptions options;
-  options.condition = core::Condition::kMLinearizability;
-  options.exact_budget = 1;
-  StreamingAuditor auditor(options);
-  api::System system(base_config("locking", 1));
-  system.set_trace_sink(&auditor);
-  system.run_workload(small_workload());
+// Every simulated producer ranks its updates; an update without a rank
+// is beyond the Theorem-7 check, so the stream ends inconclusive, never
+// ok, whatever comes after it.
+TEST(StreamingAuditor, UnrankedUpdateMakesStreamInconclusive) {
+  StreamingAuditor auditor;
+  StreamingAuditor::ObservedMop write;
+  write.key = 0;
+  write.invoke = 1;
+  write.respond = 2;
+  write.ops.push_back({core::OpType::kWrite, 0, 1});
+  auditor.observe(write);
+  EXPECT_EQ(auditor.verdict(), StreamVerdict::kInconclusive) << auditor.report().to_string();
 
+  StreamingAuditor::ObservedMop read;
+  read.key = 1;
+  read.invoke = 3;
+  read.respond = 4;
+  read.ops.push_back({core::OpType::kRead, 0, 1, 0});
+  auditor.observe(read);
   const StreamingReport& report = auditor.finish();
   EXPECT_EQ(report.verdict, StreamVerdict::kInconclusive) << report.to_string();
-  EXPECT_NE(report.detail.find("undecided"), std::string::npos) << report.detail;
+  EXPECT_NE(report.detail.find("m0 writes without a ww rank"), std::string::npos)
+      << report.detail;
 }
 
 // ---------------------------------------------------------------------

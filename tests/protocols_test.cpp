@@ -8,6 +8,7 @@
 
 #include "abcast/abcast.hpp"
 #include "api/system.hpp"
+#include "core/verdict.hpp"
 #include "mscript/library.hpp"
 #include "protocols/mlin_replica.hpp"
 #include "sim/delay.hpp"
@@ -317,8 +318,35 @@ TEST(Locking, MLinearizableAcrossSeedsAndDelays) {
       const auto exact = system.check_exact(Condition::kMLinearizability);
       ASSERT_TRUE(exact.completed) << delay << " seed " << seed;
       EXPECT_TRUE(exact.admissible) << delay << " seed " << seed;
+      // The lock points are a ~ww the Theorem-7 check accepts.
+      const core::Verdict verdict = core::check_history(
+          system.history(), Condition::kMLinearizability, system.recorder().ww_ranks(), 0);
+      EXPECT_TRUE(verdict.ok()) << delay << " seed " << seed << ": " << verdict.detail;
+      EXPECT_TRUE(verdict.fast.has_value()) << delay << " seed " << seed;
     }
   }
+}
+
+// One process with think time 0 and every lock and object local runs
+// each update inside the tick the last one completed, so they share a
+// lock point: all but the first stay unranked, and the verdict leaves
+// Theorem 7 for the exact search instead of reading a tied rank as a
+// violation.
+TEST(Locking, UpdatesSharingALockPointStayUnranked) {
+  System system(config_for("locking", 1, 2));
+  WorkloadParams params;
+  params.ops_per_process = 4;
+  params.update_ratio = 1.0;
+  params.think_time = 0;
+  system.run_workload(params);
+  const core::WwRanks ranks = system.recorder().ww_ranks();
+  ASSERT_EQ(ranks.size(), 4u);
+  EXPECT_TRUE(ranks[0].has_value());
+  EXPECT_FALSE(ranks[3].has_value());
+  const core::Verdict verdict =
+      core::check_history(system.history(), Condition::kMLinearizability, ranks, 1000);
+  EXPECT_TRUE(verdict.ok()) << verdict.detail;
+  EXPECT_TRUE(verdict.exact.has_value()) << verdict.detail;
 }
 
 TEST(Locking, NoAuditSupport) {

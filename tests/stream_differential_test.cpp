@@ -7,9 +7,10 @@
 // behind check_history's well-formedness, value-coherence and
 // distinct-rank steps.
 //
-// The corpus is simulated runs of mseq, mlin, mlin-narrow, mlin-bcastq and
-// locking over the sequencer and ISIS broadcasts, with the reliable link
-// and drops off and on, over several seeds, plus skip-delivery mutants;
+// The corpus is simulated runs of mseq, mlin, mlin-narrow and mlin-bcastq
+// over the sequencer and ISIS broadcasts, and of locking and aggregate
+// (ranked by lock point), with the reliable link and drops off and on,
+// over several seeds, plus skip-delivery and early-release mutants;
 // each run's trace is judged under m-sequential consistency,
 // m-linearizability and m-normality. Each trace is also replayed
 // corrupted through on_event / on_span: a read redirected to another
@@ -82,7 +83,6 @@ Outcome streamed(const std::vector<Entry>& tape, Condition condition, std::size_
   StreamingAuditorOptions options;
   options.condition = condition;
   options.processes = processes;
-  options.exact_budget = kBudget;
   StreamingAuditor auditor(options);
   for (const Entry& e : tape) {
     if (e.is_span) {
@@ -432,8 +432,10 @@ TEST(StreamDifferential, ProtocolTracesAndTheirCorruptions) {
   runs.push_back({"mseq", "sequencer", false, "skip-delivery", 8});
   runs.push_back({"mlin", "isis", false, "skip-delivery", 8});
   runs.push_back({"mlin", "sequencer", true, "skip-delivery", 12});
-  runs.push_back({"locking", "sequencer", false, "", 4});
-  runs.push_back({"locking", "sequencer", true, "", 4});
+  runs.push_back({"locking", "sequencer", false, "", 8});
+  runs.push_back({"locking", "sequencer", true, "", 8});
+  runs.push_back({"aggregate", "sequencer", true, "", 8});
+  runs.push_back({"locking", "sequencer", false, "early-release", 8});
 
   Counts clean;
   Counts corrupted;

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "api/system.hpp"
+#include "core/verdict.hpp"
 #include "experiments.hpp"
 #include "obs/analysis.hpp"
 #include "obs/trace.hpp"
@@ -52,8 +53,9 @@ api::SystemConfig sweep_config(const std::string& protocol, std::uint64_t seed,
 struct TracedRun {
   obs::TraceFile trace;
   core::History history{1, 1};
-  bool supports_audit = false;
-  bool fast_ok = false;  ///< meaningful only when supports_audit
+  /// The Theorem-7 verdict on the recorder's History and ranks: ok with
+  /// the fast check run.
+  bool fast_ok = false;
 };
 
 TracedRun run_traced(const api::SystemConfig& config, core::Condition condition) {
@@ -72,11 +74,9 @@ TracedRun run_traced(const api::SystemConfig& config, core::Condition condition)
   std::string error;
   EXPECT_TRUE(obs::load_trace_jsonl(jsonl, &run.trace, &error)) << error;
   run.history = system.history();
-  run.supports_audit = system.supports_audit();
-  if (run.supports_audit) {
-    const core::FastCheckResult fast = system.check_fast(condition);
-    run.fast_ok = fast.constraint_holds && fast.legal && fast.admissible;
-  }
+  const core::Verdict verdict =
+      core::check_history(run.history, condition, system.recorder().ww_ranks(), 0);
+  run.fast_ok = verdict.ok() && verdict.fast.has_value();
   return run;
 }
 
@@ -112,8 +112,9 @@ TEST(TraceSpan, ForestWellFormedAndPhasesSumExactlyAcrossSweep) {
 /// Audit-from-trace equals the recorder: the history rebuilt from
 /// op_read/op_write events and mop spans alone is equivalent (same
 /// per-process subhistories, same reads-from) to the one the
-/// ExecutionRecorder kept, and the ww order recovered from the span args
-/// reproduces the recorder's fast-check verdict.
+/// ExecutionRecorder kept, and the ww ranks recovered from the span args
+/// (abcast positions, or 2PL lock points) reproduce the Theorem-7 verdict
+/// of check_history on the recorder's History and ranks.
 TEST(TraceSpan, AuditFromTraceMatchesRecorder) {
   for (const char* protocol : kProtocols) {
     for (const bool faults : {false, true}) {
@@ -129,14 +130,9 @@ TEST(TraceSpan, AuditFromTraceMatchesRecorder) {
         EXPECT_TRUE(rebuilt.history->equivalent(run.history));
         const obs::TraceAudit audit = obs::audit_from_trace(run.trace, condition);
         EXPECT_EQ(audit.mops, run.history.size());
-        if (run.supports_audit) {
-          ASSERT_TRUE(audit.fast.has_value()) << audit.detail;
-          EXPECT_EQ(audit.ok, run.fast_ok) << audit.detail;
-          EXPECT_TRUE(audit.ok) << audit.detail;
-        } else {
-          EXPECT_FALSE(audit.fast.has_value());
-          EXPECT_TRUE(audit.ok) << audit.detail;  // structural checks only
-        }
+        ASSERT_TRUE(audit.fast.has_value()) << audit.detail;
+        EXPECT_EQ(audit.ok, run.fast_ok) << audit.detail;
+        EXPECT_TRUE(audit.ok) << audit.detail;
       }
     }
   }

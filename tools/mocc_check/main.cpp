@@ -56,7 +56,6 @@ void print_usage(const std::string& program) {
       << "                       rounds; also honored by --sweep)\n"
       << "  --processes=N --objects=N --ops=N   scope (default 2/2/2)\n"
       << "  --max-schedules=N --max-depth=N     exploration budgets\n"
-      << "  --exact-budget=N     exact-checker state budget (locking)\n"
       << "  --no-sleep-sets --no-state-hash     disable a reduction\n"
       << "  --history-only       skip protocol-internal (P5.x) findings;\n"
       << "                       stop only on history-level violations\n"
@@ -83,8 +82,6 @@ ExploreConfig config_from_flags(const mocc::util::CliArgs& args) {
       "max-schedules", static_cast<std::int64_t>(config.max_schedules)));
   config.max_depth = static_cast<std::size_t>(
       args.get_int("max-depth", static_cast<std::int64_t>(config.max_depth)));
-  config.exact_states_budget = static_cast<std::uint64_t>(args.get_int(
-      "exact-budget", static_cast<std::int64_t>(config.exact_states_budget)));
   config.use_sleep_sets = !args.get_bool("no-sleep-sets", false);
   config.use_state_hash = !args.get_bool("no-state-hash", false);
   config.history_violations_only = args.get_bool("history-only", false);
@@ -114,10 +111,6 @@ void print_stats(const ExploreResult& result) {
             << s.depth_truncations << " truncations)\n"
             << "distinct states: " << s.distinct_states << " ("
             << s.hash_collisions << " primary-hash collisions)\n";
-  if (s.exact_undecided != 0) {
-    std::cout << "exact checker undecided on " << s.exact_undecided
-              << " schedules (raise --exact-budget)\n";
-  }
   if (s.audit_only_violations != 0) {
     std::cout << "skipped " << s.audit_only_violations
               << " protocol-internal (P5.x) findings (--history-only)\n";
@@ -281,7 +274,6 @@ int run_replay_file(const mocc::util::CliArgs& args, const std::string& path) {
     mocc::obs::write_trace_jsonl(out, sink);
     std::cout << "trace written to " << trace_path << "\n";
   }
-  if (!result.decided) return fail("exact checker budget exhausted");
   if (!result.violation.empty()) {
     std::cout << "VIOLATION reproduced: " << result.violation << "\n";
     return 1;

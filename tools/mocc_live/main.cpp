@@ -362,15 +362,22 @@ int run_selftest() {
   // timestamp violations (P5.3/P5.4), invisible at the history level
   // both these checkers audit (mocc_check finds its history-level
   // schedules by exhaustive search).
-  for (const std::string protocol : {"mseq", "mlin"}) {
+  struct Mutant {
+    const char* protocol;
+    const char* mutation;
+    std::size_t objects;
+  };
+  for (const Mutant mutant : {Mutant{"mseq", "skip-delivery", 1},
+                              Mutant{"mlin", "skip-delivery", 1},
+                              Mutant{"locking", "early-release", 2}}) {
     std::size_t caught = 0;
     std::size_t runs = 0;
     bool sound = true;
     std::string unsound_detail;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       const std::string broadcast = seed % 2 == 1 ? "sequencer" : "isis";
-      const SelftestRun run =
-          selftest_run(protocol, broadcast, "skip-delivery", 1, seed);
+      const SelftestRun run = selftest_run(mutant.protocol, broadcast, mutant.mutation,
+                                           mutant.objects, seed);
       ++runs;
       if (run.live == StreamVerdict::kViolation) {
         ++caught;
@@ -382,7 +389,7 @@ int run_selftest() {
       }
     }
     std::ostringstream label;
-    label << "mutated " << protocol << "/skip-delivery";
+    label << "mutated " << mutant.protocol << "/" << mutant.mutation;
     std::ostringstream detail;
     detail << caught << "/" << runs << " caught live";
     if (!sound) detail << "  " << unsound_detail;

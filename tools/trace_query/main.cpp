@@ -20,6 +20,7 @@
 
 #include "api/system.hpp"
 #include "core/relations.hpp"
+#include "core/verdict.hpp"
 #include "obs/analysis.hpp"
 #include "obs/trace.hpp"
 #include "protocols/workload.hpp"
@@ -46,9 +47,10 @@ void print_usage(const std::string& program) {
             << "                     the fast checker; with no FILE, run the\n"
             << "                     in-process selftest sweep\n"
             << "  --condition=NAME   mlin (default) | msc | mnorm, for --audit\n"
-            << "  --exact-budget=N   state budget for the exact checker when the\n"
-            << "                     trace carries no abcast order (2PL runs);\n"
-            << "                     0 skips it (default 1000000)\n";
+            << "  --exact-budget=N   state budget for the exact checker when an\n"
+            << "                     update in the trace carries no ~ww rank\n"
+            << "                     (traces of older builds); 0 skips it\n"
+            << "                     (default 1000000)\n";
 }
 
 std::optional<Condition> parse_condition(const std::string& name) {
@@ -159,7 +161,8 @@ int run_audit_file(const TraceFile& trace, Condition condition,
 /// One selftest point: run the system with a sink attached, round-trip
 /// the trace through JSONL, and require (a) a drop-free well-formed
 /// forest, (b) exact phase sums, (c) a rebuilt history equivalent to the
-/// recorder's, (d) the same fast-check verdict the recorder yields.
+/// recorder's, (d) the Theorem-7 verdict check_history gives on the
+/// recorder's History and ranks, for every protocol.
 bool selftest_point(const std::string& protocol, std::uint64_t seed, bool faults,
                     std::string* detail) {
   mocc::api::SystemConfig config;
@@ -232,22 +235,19 @@ bool selftest_point(const std::string& protocol, std::uint64_t seed, bool faults
   }
   const Condition condition = mocc::api::claimed_condition(protocol);
   const mocc::obs::TraceAudit audit = mocc::obs::audit_from_trace(trace, condition);
-  if (system.supports_audit()) {
-    if (!audit.fast.has_value()) {
-      *detail = "trace carried no abcast order for an auditable protocol";
-      return false;
-    }
-    const mocc::core::FastCheckResult recorded = system.check_fast(condition);
-    const bool recorded_ok =
-        recorded.constraint_holds && recorded.legal && recorded.admissible;
-    if (audit.ok != recorded_ok) {
-      std::ostringstream why;
-      why << "fast-check verdicts differ: trace says "
-          << (audit.ok ? "admissible" : "violation") << ", recorder says "
-          << (recorded_ok ? "admissible" : "violation");
-      *detail = why.str();
-      return false;
-    }
+  if (!audit.fast.has_value()) {
+    *detail = "an update in the trace carries no ~ww rank: " + audit.detail;
+    return false;
+  }
+  const mocc::core::Verdict recorded = mocc::core::check_history(
+      system.history(), condition, system.recorder().ww_ranks(), /*exact_budget=*/0);
+  if (audit.ok != recorded.ok()) {
+    std::ostringstream why;
+    why << "Theorem-7 verdicts differ: trace says "
+        << (audit.ok ? "admissible" : "violation") << ", recorder says "
+        << (recorded.ok() ? "admissible" : "violation");
+    *detail = why.str();
+    return false;
   }
   *detail = audit.detail;
   return audit.ok;
